@@ -548,6 +548,8 @@ int main(int argc, char** argv) {
           HumanBytes(spate.StorageBytes()).c_str());
 
   CachedExplorer explorer(&spate);
+  // Scan stats of the last `explore`/`highlights` (empty after a cache hit).
+  ScanStats last_explore;
   // Session cache for SQL: planned statements probe it (`CacheServe`) and
   // completed scans feed it, so a repeated statement decodes nothing.
   ResultCache sql_cache;
@@ -684,7 +686,9 @@ int main(int argc, char** argv) {
                command.c_str());
         continue;
       }
-      auto result = explorer.Execute(query);
+      ScanContext scan;
+      auto result = explorer.Execute(query, &scan);
+      last_explore = std::move(scan.stats);
       if (!result.ok()) {
         printf("error: %s\n", result.status().ToString().c_str());
         continue;
@@ -727,9 +731,9 @@ int main(int argc, char** argv) {
              static_cast<unsigned long long>(cache_stats.hits),
              static_cast<unsigned long long>(cache_stats.misses),
              HumanBytes(cache_stats.bytes_decoded_saved).c_str());
-      printf("last scan: %s decoded, %zu leaves skipped spatially\n",
-             HumanBytes(spate.last_scan_stats().bytes_decoded).c_str(),
-             spate.last_scan_stats().leaves_skipped_spatial);
+      printf("last explore: %s decoded, %zu leaves skipped spatially\n",
+             HumanBytes(last_explore.bytes_decoded).c_str(),
+             last_explore.leaves_skipped_spatial);
       continue;
     }
     if (command == "decay") {

@@ -106,7 +106,8 @@ Snapshot RestrictSnapshot(
 
 Status Framework::ScanWindowProjected(
     const ExplorationQuery& query,
-    const std::function<void(const Snapshot&)>& fn) {
+    const std::function<void(const Snapshot&)>& fn, ScanContext* ctx) {
+  (void)ctx;  // the baselines neither cancel nor degrade: stats stay empty
   TableProjection cdr =
       ScanProjection(CdrSchema(), query.attributes, kCdrTs, kCdrCellId);
   TableProjection nms =

@@ -58,9 +58,9 @@ struct QueryResult {
   std::vector<Timestamp> skipped_epochs;
 };
 
-/// Outcome of the most recent `ScanWindow` on frameworks that support
-/// degraded reads: how many leaves were streamed and which in-window epochs
-/// were skipped because no replica of their data could be read.
+/// Outcome of one scan on frameworks that support degraded reads: how many
+/// leaves were streamed and which in-window epochs were skipped because no
+/// replica of their data could be read.
 struct ScanStats {
   size_t leaves_scanned = 0;
   std::vector<Timestamp> skipped_epochs;
@@ -81,6 +81,19 @@ struct ScanStats {
   uint64_t bytes_decoded_saved = 0;
 
   bool complete() const { return skipped_epochs.empty(); }
+};
+
+/// Per-call scan state, owned by the caller and passed with one scan or
+/// `Execute` call: the cancellation token in, that call's `ScanStats` out.
+/// Nothing about one call is left on the framework, so a scheduler can read
+/// a scan's stats from its own fold callback while the scan runs.
+struct ScanContext {
+  /// Polled between leaf decodes; expiry unwinds the call with
+  /// `kDeadlineExceeded` (never mid-leaf). Null = never cancelled. Not
+  /// owned; must outlive the call. The baselines ignore it.
+  const CancelToken* cancel = nullptr;
+  /// Skip and byte accounting of this call, filled in leaf order.
+  ScanStats stats;
 };
 
 /// One in-window leaf as the SQL planner sees it: enough to predict the
@@ -209,13 +222,16 @@ class Framework {
   /// columnar leaf layout overrides it to decode only the needed column
   /// chunks and to skip leaves provably disjoint from the box (for which
   /// `fn` is then not called at all — restriction would have emptied them).
+  /// `ctx` carries this call's cancel token and receives its stats; without
+  /// one, the stats go to `last_scan_stats()`.
   virtual Status ScanWindowProjected(
       const ExplorationQuery& query,
-      const std::function<void(const Snapshot&)>& fn);
+      const std::function<void(const Snapshot&)>& fn,
+      ScanContext* ctx = nullptr);
 
-  /// Skip accounting of the most recent `ScanWindow`. The default (used by
-  /// the baselines, which fail hard instead of degrading) reports an empty,
-  /// complete scan.
+  /// Skip accounting of the most recent context-free scan or `Execute`, for
+  /// single-threaded readers. The default (used by the baselines, which fail
+  /// hard instead of degrading) reports an empty, complete scan.
   virtual const ScanStats& last_scan_stats() const {
     static const ScanStats kEmpty;
     return kEmpty;
@@ -250,15 +266,6 @@ class Framework {
 
   /// The raw CELL table rows (for SQL over the CELL table).
   virtual const std::vector<Record>& cell_rows() const = 0;
-
-  /// Installs a cooperative cancellation/deadline token that subsequent
-  /// `Execute`/`ScanWindow` calls poll between leaf decodes, unwinding with
-  /// `kDeadlineExceeded` when it expires (never mid-leaf, so observed state
-  /// stays consistent). `nullptr` detaches. The token must outlive every
-  /// call made while installed; like the rest of the surface this setter is
-  /// externally synchronized with those calls. The baselines ignore it —
-  /// they fail or finish, which is itself a measured difference.
-  virtual void SetCancelToken(const CancelToken* token) { (void)token; }
 };
 
 /// Filters `snapshot` rows to those inside the window and (optionally) the

@@ -60,7 +60,6 @@ SpateFramework::SpateFramework(SpateOptions options,
   if (options_.parallelism.worker_count > 1) {
     pool_ = std::make_unique<ThreadPool>(
         static_cast<size_t>(options_.parallelism.worker_count));
-    materialize_ctx_.decode_pool = pool_.get();
   }
   if (options_.fragment_cache_bytes > 0) {
     // A recovered framework starts with a fresh (empty, generation-0)
@@ -68,7 +67,6 @@ SpateFramework::SpateFramework(SpateOptions options,
     // paths come through here.
     fragment_cache_ =
         std::make_unique<FragmentCache>(options_.fragment_cache_bytes);
-    materialize_ctx_.fragment_cache = fragment_cache_.get();
   }
   if (options_.differential) {
     // Deltas must never outlive the chain they decode against: decay only
@@ -409,7 +407,8 @@ Status SpateFramework::Ingest(const Snapshot& snapshot) {
 }
 
 Result<std::string> SpateFramework::MaterializeLeafWith(
-    const LeafNode& leaf, DecodeContext* ctx) const {
+    const LeafNode& leaf, DecodeContext* ctx,
+    std::string* columnar_blob) const {
   if (leaf.decayed) {
     return Status::NotFound("leaf decayed: " + leaf.dfs_path);
   }
@@ -436,6 +435,10 @@ Result<std::string> SpateFramework::MaterializeLeafWith(
   }
   SPATE_ASSIGN_OR_RETURN(std::string blob, dfs_->ReadFile(leaf.dfs_path));
   std::string text;
+  if (columnar_blob != nullptr && !leaf.delta && IsColumnarBlob(blob)) {
+    *columnar_blob = std::move(blob);  // the caller decodes it projected
+    return text;
+  }
   if (!leaf.delta && IsColumnarBlob(blob)) {
     // Columnar leaf: a full materialization reassembles every column and
     // re-serializes to row text, so the delta-chain and parse paths above
@@ -492,82 +495,38 @@ Result<std::string> SpateFramework::MaterializeLeafWith(
   return text;
 }
 
-Result<std::string> SpateFramework::MaterializeLeaf(const LeafNode& leaf) {
-  return MaterializeLeafWith(leaf, &materialize_ctx_);
-}
-
 Status SpateFramework::DecodeLeafWith(const LeafNode& leaf,
                                       const LeafScanOptions& opts,
                                       DecodeContext* ctx,
                                       Snapshot* snapshot) const {
-  if (!opts.restricted()) {
-    // Unrestricted scan: the classic path, bit for bit.
-    SPATE_ASSIGN_OR_RETURN(std::string text, MaterializeLeafWith(leaf, ctx));
-    return ParseSnapshot(text, snapshot);
-  }
-  if (leaf.decayed) {
-    return Status::NotFound("leaf decayed: " + leaf.dfs_path);
-  }
-  // Restriction via the reference semantics, for every path that has to
-  // materialize full row text anyway.
-  auto restrict_text = [&](const std::string& text) -> Status {
-    Snapshot full;
-    SPATE_RETURN_IF_ERROR(ParseSnapshot(text, &full));
-    *snapshot = RestrictSnapshot(full, opts.cdr, opts.nms, opts.wanted_cells);
-    return Status::OK();
-  };
-  if (leaf.delta || ctx->cache_epoch == leaf.epoch_start) {
-    // Delta chains (and cache hits) only exist as full row text.
-    SPATE_ASSIGN_OR_RETURN(std::string text, MaterializeLeafWith(leaf, ctx));
-    return restrict_text(text);
-  }
-  // Fragment cache, row-text probe: a resident "@row" fragment restricts
-  // in memory without the DFS read or any decompression. Columnar leaves
-  // never have one (they cache per chunk), so a hit implies row layout and
-  // `RestrictSnapshot` over the parsed text — the reference semantics the
-  // columnar reader is byte-identical to either way.
-  if (ctx->fragment_cache != nullptr) {
-    std::string cached;
-    if (ctx->fragment_cache->Lookup(leaf.epoch_start, kRowFragmentName,
-                                    ctx->fragment_generation, &cached)) {
-      ++ctx->fragment_hits;
-      ctx->fragment_bytes_saved += cached.size();
-      if (options_.differential) {
-        ctx->cache_epoch = leaf.epoch_start;
-        ctx->cache_text = cached;
-      }
-      return restrict_text(cached);
-    }
-  }
-  SPATE_ASSIGN_OR_RETURN(std::string blob, dfs_->ReadFile(leaf.dfs_path));
-  if (IsColumnarBlob(blob)) {
+  // A restricted scan takes a columnar keyframe's blob back undecoded —
+  // unless the leaf is already resident as row text (one-entry cache or
+  // "@row" fragment) — and decodes only what the options call for.
+  std::string columnar_blob;
+  SPATE_ASSIGN_OR_RETURN(
+      std::string text,
+      MaterializeLeafWith(leaf, ctx,
+                          opts.restricted() ? &columnar_blob : nullptr));
+  if (!columnar_blob.empty()) {
     // The pushdown proper: decode only the column chunks the projections
     // call for, and with a cell restriction only the matching rows. The
     // fragment scope serves/admits individual chunk plaintexts.
     FragmentCacheScope fragments{ctx->fragment_cache, leaf.epoch_start,
                                  ctx->fragment_generation, 0, 0};
-    const Status status =
-        DecodeColumnarLeaf(blob, opts.cdr, opts.nms, opts.wanted_cells,
-                           snapshot, &ctx->bytes_decoded, &fragments);
+    const Status status = DecodeColumnarLeaf(
+        columnar_blob, opts.cdr, opts.nms, opts.wanted_cells, snapshot,
+        &ctx->bytes_decoded, &fragments);
     ctx->fragment_hits += fragments.hits;
     ctx->fragment_bytes_saved += fragments.bytes_saved;
     return status;
   }
-  // Row leaf: full decode, then restrict in memory. Cache the text under
-  // the same policy as MaterializeLeafWith, so a later delta in the scan
-  // still resolves against this leaf in O(1).
-  std::string text;
-  SPATE_RETURN_IF_ERROR(ChunkedDecompress(blob, ctx->decode_pool, &text));
-  ctx->bytes_decoded += text.size();
-  if (ctx->fragment_cache != nullptr) {
-    ctx->fragment_cache->Insert(leaf.epoch_start, kRowFragmentName,
-                                ctx->fragment_generation, text);
-  }
-  if (options_.differential) {
-    ctx->cache_epoch = leaf.epoch_start;
-    ctx->cache_text = text;
-  }
-  return restrict_text(text);
+  if (!opts.restricted()) return ParseSnapshot(text, snapshot);
+  // Full row text (row and delta leaves, cache hits): restrict in memory
+  // via the reference semantics the columnar reader is byte-identical to.
+  Snapshot full;
+  SPATE_RETURN_IF_ERROR(ParseSnapshot(text, &full));
+  *snapshot = RestrictSnapshot(full, opts.cdr, opts.nms, opts.wanted_cells);
+  return Status::OK();
 }
 
 size_t SpateFramework::RunDecay(Timestamp now) {
@@ -618,55 +577,69 @@ double SpateFramework::ThetaFor(IndexLevel level) const {
 }
 
 Result<QueryResult> SpateFramework::Execute(const ExplorationQuery& query) {
-  QueryResult result;
+  ScanContext ctx;
+  Result<QueryResult> result = Execute(query, &ctx);
+  last_scan_ = std::move(ctx.stats);
+  return result;
+}
+
+Result<QueryResult> SpateFramework::Execute(const ExplorationQuery& query,
+                                            ScanContext* ctx) {
   if (query.window_begin >= query.window_end) {
     return Status::InvalidArgument("query window is empty");
   }
   // A request that arrives already expired must not touch storage at all.
-  if (cancel_ != nullptr) SPATE_RETURN_IF_ERROR(cancel_->Check());
-
-  if (index_.WindowFullyResolved(query.window_begin, query.window_end)) {
-    // Exact path: decompress the covered leaves and filter.
-    result.exact = true;
-    result.served_from = IndexLevel::kEpoch;
-    Status scan;
-    if (options_.leaf_spatial_index && query.has_box &&
-        options_.leaf_layout == LeafLayout::kRow) {
-      // Row-store sidecar path. On columnar stores the embedded "@spidx"
-      // chunk supersedes the sidecar, so the projected scan wins below.
-      last_scan_ = ScanStats();
-      scan = ExecuteExactWithLeafIndex(query, &result);
-    } else {
-      // Projected scan: columnar leaves decode only the needed column
-      // chunks / rows and box-disjoint leaves are skipped outright; the
-      // streamed snapshots are already restricted, and FilterSnapshotRows
-      // composes with that restriction to the same bytes the full-decode
-      // path produces.
-      scan = ScanWindowProjected(query, [&](const Snapshot& snapshot) {
-        FilterSnapshotRows(snapshot, query, cells_, &result.cdr_rows,
-                           &result.nms_rows);
-      });
-    }
-    if (!scan.ok()) return scan;
-    if (last_scan_.complete()) {
-      result.summary = RestrictSummaryToBox(
-          index_.SummarizeWindow(query.window_begin, query.window_end), query,
-          cells_);
-      result.highlights =
-          result.summary.ExtractHighlights(ThetaFor(IndexLevel::kDay));
-      return result;
-    }
-    // Storage faults hid at least one leaf (every replica unreadable): drop
-    // the partial rows and degrade to the covering summary, exactly as if
-    // those leaves had decayed.
-    result.cdr_rows.clear();
-    result.nms_rows.clear();
-    result.degraded = true;
-    result.skipped_epochs = last_scan_.skipped_epochs;
+  if (ctx->cancel != nullptr) SPATE_RETURN_IF_ERROR(ctx->cancel->Check());
+  if (!index_.WindowFullyResolved(query.window_begin, query.window_end)) {
+    // Decayed window: serve from the smallest covering node's highlights.
+    return AssembleAnswer(query, /*scanned=*/false, {}, {});
   }
+  // Exact path: decompress the covered leaves and filter.
+  QueryResult rows;
+  Status scan;
+  if (options_.leaf_spatial_index && query.has_box &&
+      options_.leaf_layout == LeafLayout::kRow) {
+    // Row-store sidecar path. On columnar stores the embedded "@spidx"
+    // chunk supersedes the sidecar, so the projected scan wins below.
+    scan = ExecuteExactWithLeafIndex(query, &rows, ctx);
+  } else {
+    // Projected scan: columnar leaves decode only the needed column
+    // chunks / rows and box-disjoint leaves are skipped outright; the
+    // streamed snapshots are already restricted, and FilterSnapshotRows
+    // composes with that restriction to the same bytes the full-decode
+    // path produces.
+    scan = ScanWindowProjected(
+        query,
+        [&](const Snapshot& snapshot) {
+          FilterSnapshotRows(snapshot, query, cells_, &rows.cdr_rows,
+                             &rows.nms_rows);
+        },
+        ctx);
+  }
+  if (!scan.ok()) return scan;
+  return AssembleAnswer(query, /*scanned=*/true, std::move(rows),
+                        ctx->stats.skipped_epochs);
+}
 
-  // Decayed (or fault-degraded) path: serve from the smallest covering
-  // node's highlights.
+QueryResult SpateFramework::AssembleAnswer(
+    const ExplorationQuery& query, bool scanned, QueryResult rows,
+    std::vector<Timestamp> skipped) const {
+  if (scanned && skipped.empty()) {
+    rows.exact = true;
+    rows.served_from = IndexLevel::kEpoch;
+    rows.summary = RestrictSummaryToBox(
+        index_.SummarizeWindow(query.window_begin, query.window_end), query,
+        cells_);
+    rows.highlights =
+        rows.summary.ExtractHighlights(ThetaFor(IndexLevel::kDay));
+    return rows;
+  }
+  // Decayed, or storage faults hid at least one leaf (every replica
+  // unreadable): drop the partial rows and serve the smallest covering
+  // node's highlights, exactly as if those leaves had decayed.
+  QueryResult result;
+  result.degraded = !skipped.empty();
+  result.skipped_epochs = std::move(skipped);
   const CoveringNode covering =
       index_.FindCovering(query.window_begin, query.window_end);
   result.exact = false;
@@ -678,13 +651,12 @@ Result<QueryResult> SpateFramework::Execute(const ExplorationQuery& query) {
 }
 
 Status SpateFramework::ExecuteExactWithLeafIndex(
-    const ExplorationQuery& query, QueryResult* result) {
+    const ExplorationQuery& query, QueryResult* result, ScanContext* ctx) {
   // Resolve the box to cell ids once, then use each leaf's sidecar to jump
   // straight to the matching rows. The leaf blob and its sidecar must both
   // be readable; degraded mode skips the epoch (recorded) when either has
   // lost every replica.
   const std::vector<std::string> in_box = cells_.CellsInBox(query.box);
-  const std::unordered_set<std::string> wanted(in_box.begin(), in_box.end());
   // The sidecar's row positions index the full snapshot, so the leaves
   // materialize unrestricted; projection applies to the result rows only.
   const TableProjection cdr_projection =
@@ -718,56 +690,45 @@ Status SpateFramework::ExecuteExactWithLeafIndex(
           }
         };
         for (const std::string& cell_id : in_box) {
-          if (!wanted.count(cell_id)) continue;
           take(snapshot.cdr, sidecar.CdrRows(cell_id), kCdrTs, cdr_projection,
                &result->cdr_rows);
           take(snapshot.nms, sidecar.NmsRows(cell_id), kNmsTs, nms_projection,
                &result->nms_rows);
         }
         return Status::OK();
-      });
+      },
+      ctx);
 }
 
 Status SpateFramework::ScanLeaves(
-    const std::vector<const LeafNode*>& leaves,
+    std::vector<const LeafNode*> scan_leaves,
     const LeafScanOptions& opts,
-    const std::function<Status(const LeafNode&, const Snapshot&)>& fn) {
+    const std::function<Status(const LeafNode&, const Snapshot&)>& fn,
+    ScanContext* ctx) {
+  ScanStats& stats = ctx->stats;
+  const CancelToken* cancel = ctx->cancel;
   // Spatial leaf skipping: drop leaves whose summary proves them disjoint
   // from the wanted cells before any DFS read or decompression. The filter
   // runs up front on the calling thread, so the surviving scan — batching,
   // fold order, stats — is identical at every worker count.
-  // Capture the store generation once per scan: no mutator can run during
-  // a scan (externally synchronized surface), so every probe of this scan
-  // keys against one consistent store state.
-  const uint64_t fragment_generation =
-      fragment_cache_ != nullptr ? fragment_cache_->generation() : 0;
-  materialize_ctx_.fragment_generation = fragment_generation;
-  std::vector<const LeafNode*> surviving;
   if (opts.skip_leaves && opts.wanted_cells != nullptr) {
-    surviving.reserve(leaves.size());
-    for (const LeafNode* leaf : leaves) {
-      if (LeafIntersectsCells(*leaf, *opts.wanted_cells)) {
-        surviving.push_back(leaf);
-      } else {
-        ++last_scan_.leaves_skipped_spatial;
-      }
-    }
+    stats.leaves_skipped_spatial +=
+        std::erase_if(scan_leaves, [&](const LeafNode* leaf) {
+          return !LeafIntersectsCells(*leaf, *opts.wanted_cells);
+        });
   }
-  const std::vector<const LeafNode*>& scan_leaves =
-      (opts.skip_leaves && opts.wanted_cells != nullptr) ? surviving : leaves;
   // Folds one leaf's outcome into the scan, in timestamp order, on the
   // calling thread. A degradable failure — every replica of the leaf (or of
   // its delta chain, or of its sidecar) unreadable — skips the epoch and
-  // records it instead of failing the whole scan; callers consult
-  // `last_scan_stats()`.
+  // records it instead of failing the whole scan.
 #ifndef NDEBUG
-  // Fold-order hook: the serial fold must visit leaves in strictly
-  // increasing epoch order regardless of how the decode fan-out scheduled
-  // them — `last_scan_` folding and every caller depend on it.
+  // Fold-order hook: the fold must visit leaves in strictly increasing
+  // epoch order regardless of how the decode fan-out scheduled them — the
+  // stats and every caller depend on it.
   Timestamp debug_last_folded = -1;
 #endif
   auto fold = [&](const LeafNode& leaf, Status status,
-                  const Snapshot& snapshot) -> Result<bool> {
+                  const Snapshot& snapshot) -> Status {
 #ifndef NDEBUG
     SPATE_DCHECK_GT(leaf.epoch_start, debug_last_folded);
     debug_last_folded = leaf.epoch_start;
@@ -775,50 +736,38 @@ Status SpateFramework::ScanLeaves(
     if (status.ok()) status = fn(leaf, snapshot);
     if (!status.ok()) {
       if (options_.degraded_reads && DegradableFailure(status)) {
-        last_scan_.skipped_epochs.push_back(leaf.epoch_start);
-        return false;
+        stats.skipped_epochs.push_back(leaf.epoch_start);
+        return Status::OK();
       }
       return status;
     }
-    ++last_scan_.leaves_scanned;
-    return true;
+    ++stats.leaves_scanned;
+    return Status::OK();
   };
 
+  // Leaves decode in batches, then fold serially in timestamp order. A
+  // short window (or no pool) decodes batches of one inline on `serial`,
+  // whose chunked blobs may still fan out on the pool. Otherwise the pool
+  // decodes bounded batches (capping simultaneously materialized
+  // snapshots) with one context per worker range, so delta chains still
+  // resolve against the worker's previous leaf and no fan-out nests. Stats
+  // are only touched in the serial fold — no hot-path atomics, and the
+  // fold order (hence `stats`) is the same at every worker count.
+  // The store generation is captured once per scan: no mutator can run
+  // during a scan (externally synchronized surface), so every probe of this
+  // scan keys against one consistent store state.
+  DecodeContext serial;
+  serial.fragment_cache = fragment_cache_.get();
+  serial.fragment_generation =
+      fragment_cache_ != nullptr ? fragment_cache_->generation() : 0;
   const bool parallel =
       pool_ != nullptr &&
       scan_leaves.size() >= static_cast<size_t>(std::max(
                                 2, options_.parallelism.min_parallel_epochs));
-  if (!parallel) {
-    for (const LeafNode* leaf : scan_leaves) {
-      // Cancellation check between leaf decodes: an expired token unwinds
-      // here with kDeadlineExceeded — not a degradable failure, so the scan
-      // aborts instead of marking the rest of the window skipped.
-      if (cancel_ != nullptr) SPATE_RETURN_IF_ERROR(cancel_->Check());
-      Snapshot snapshot;
-      const uint64_t bytes_before = materialize_ctx_.bytes_decoded;
-      const uint64_t hits_before = materialize_ctx_.fragment_hits;
-      const uint64_t saved_before = materialize_ctx_.fragment_bytes_saved;
-      const Status status =
-          DecodeLeafWith(*leaf, opts, &materialize_ctx_, &snapshot);
-      last_scan_.bytes_decoded +=
-          materialize_ctx_.bytes_decoded - bytes_before;
-      last_scan_.fragment_hits +=
-          materialize_ctx_.fragment_hits - hits_before;
-      last_scan_.bytes_decoded_saved +=
-          materialize_ctx_.fragment_bytes_saved - saved_before;
-      SPATE_ASSIGN_OR_RETURN(bool ok, fold(*leaf, status, snapshot));
-      (void)ok;
-    }
-    return Status::OK();
-  }
-
-  // Scan fan-out: decode leaves concurrently in bounded batches (capping
-  // the number of simultaneously materialized snapshots), then fold each
-  // batch serially in timestamp order. Workers take contiguous leaf ranges
-  // with a private decode buffer, so delta chains still resolve against the
-  // worker's previous leaf; stats are only touched in the serial fold — no
-  // hot-path atomics, and the fold order (hence `last_scan_`) is identical
-  // to the serial path's.
+  if (!parallel) serial.decode_pool = pool_.get();
+  const size_t batch =
+      parallel ? static_cast<size_t>(options_.parallelism.worker_count) * 4
+               : 1;
   struct Slot {
     Status status;
     Snapshot snapshot;
@@ -826,44 +775,43 @@ Status SpateFramework::ScanLeaves(
     uint64_t fragment_hits = 0;
     uint64_t fragment_saved = 0;
   };
-  const size_t batch =
-      static_cast<size_t>(options_.parallelism.worker_count) * 4;
   for (size_t base = 0; base < scan_leaves.size(); base += batch) {
-    // Between-batch cancellation check on the calling thread; workers also
-    // poll per leaf below, so a mid-batch expiry stops further decodes and
-    // surfaces through the serial fold as kDeadlineExceeded (which is not
-    // degradable — the scan aborts rather than degrade).
-    if (cancel_ != nullptr) SPATE_RETURN_IF_ERROR(cancel_->Check());
+    // Cancellation check between batches on the calling thread; decodes
+    // also poll per leaf, so a mid-batch expiry stops further decodes and
+    // surfaces through the fold as kDeadlineExceeded — not a degradable
+    // failure, so the scan aborts instead of marking the rest skipped.
+    if (cancel != nullptr) SPATE_RETURN_IF_ERROR(cancel->Check());
     const size_t count = std::min(batch, scan_leaves.size() - base);
     std::vector<Slot> slots(count);
-    pool_->ParallelFor(count, [&](size_t begin, size_t end) {
-      DecodeContext ctx;  // per-worker buffer; no nested fan-out
-      ctx.fragment_cache = fragment_cache_.get();
-      ctx.fragment_generation = fragment_generation;
+    auto decode = [&](size_t begin, size_t end, DecodeContext* dctx) {
       for (size_t i = begin; i < end; ++i) {
-        if (cancel_ != nullptr) {
-          slots[i].status = cancel_->Check();
+        if (cancel != nullptr) {
+          slots[i].status = cancel->Check();
           if (!slots[i].status.ok()) continue;  // skip decode, fold aborts
         }
-        const uint64_t bytes_before = ctx.bytes_decoded;
-        const uint64_t hits_before = ctx.fragment_hits;
-        const uint64_t saved_before = ctx.fragment_bytes_saved;
-        slots[i].status =
-            DecodeLeafWith(*scan_leaves[base + i], opts, &ctx,
-                           &slots[i].snapshot);
-        slots[i].bytes = ctx.bytes_decoded - bytes_before;
-        slots[i].fragment_hits = ctx.fragment_hits - hits_before;
-        slots[i].fragment_saved = ctx.fragment_bytes_saved - saved_before;
+        dctx->bytes_decoded = dctx->fragment_hits = 0;
+        dctx->fragment_bytes_saved = 0;
+        slots[i].status = DecodeLeafWith(*scan_leaves[base + i], opts, dctx,
+                                         &slots[i].snapshot);
+        slots[i].bytes = dctx->bytes_decoded;
+        slots[i].fragment_hits = dctx->fragment_hits;
+        slots[i].fragment_saved = dctx->fragment_bytes_saved;
       }
-    });
+    };
+    if (parallel) {
+      pool_->ParallelFor(count, [&](size_t begin, size_t end) {
+        DecodeContext worker = serial;  // unused when parallel: no pool
+        decode(begin, end, &worker);
+      });
+    } else {
+      decode(0, count, &serial);
+    }
     for (size_t i = 0; i < count; ++i) {
-      last_scan_.bytes_decoded += slots[i].bytes;
-      last_scan_.fragment_hits += slots[i].fragment_hits;
-      last_scan_.bytes_decoded_saved += slots[i].fragment_saved;
-      SPATE_ASSIGN_OR_RETURN(
-          bool ok,
+      stats.bytes_decoded += slots[i].bytes;
+      stats.fragment_hits += slots[i].fragment_hits;
+      stats.bytes_decoded_saved += slots[i].fragment_saved;
+      SPATE_RETURN_IF_ERROR(
           fold(*scan_leaves[base + i], slots[i].status, slots[i].snapshot));
-      (void)ok;
     }
   }
   return Status::OK();
@@ -872,18 +820,15 @@ Status SpateFramework::ScanLeaves(
 Status SpateFramework::ScanWindow(
     Timestamp begin, Timestamp end,
     const std::function<void(const Snapshot&)>& fn) {
-  last_scan_ = ScanStats();
-  return ScanLeaves(index_.LeavesInWindow(begin, end), LeafScanOptions{},
-                    [&fn](const LeafNode&, const Snapshot& snapshot) {
-                      fn(snapshot);
-                      return Status::OK();
-                    });
+  ExplorationQuery everything;
+  everything.window_begin = begin;
+  everything.window_end = end;
+  return ScanWindowProjected(everything, fn);
 }
 
 Status SpateFramework::ScanWindowProjected(
     const ExplorationQuery& query,
-    const std::function<void(const Snapshot&)>& fn) {
-  last_scan_ = ScanStats();
+    const std::function<void(const Snapshot&)>& fn, ScanContext* ctx) {
   LeafScanOptions opts;
   opts.cdr = ScanProjection(CdrSchema(), query.attributes, kCdrTs, kCdrCellId);
   opts.nms = ScanProjection(NmsSchema(), query.attributes, kNmsTs, kNmsCellId);
@@ -900,12 +845,17 @@ Status SpateFramework::ScanWindowProjected(
     opts.wanted_cells = &wanted;
     opts.skip_leaves = options_.spatial_leaf_skip;
   }
-  return ScanLeaves(
+  // Context-free callers get a fresh context, published to `last_scan_`.
+  ScanContext own;
+  const Status status = ScanLeaves(
       index_.LeavesInWindow(query.window_begin, query.window_end), opts,
       [&fn](const LeafNode&, const Snapshot& snapshot) {
         fn(snapshot);
         return Status::OK();
-      });
+      },
+      ctx != nullptr ? ctx : &own);
+  if (ctx == nullptr) last_scan_ = std::move(own.stats);
+  return status;
 }
 
 Result<NodeSummary> SpateFramework::AggregateWindow(Timestamp begin,

@@ -100,8 +100,9 @@ struct SpateOptions {
   /// Degraded reads: when a leaf's every replica is unreadable (datanodes
   /// down, all copies corrupt), treat it like a decayed leaf — `Execute`
   /// falls back to the covering highlight summary, `ScanWindow` skips it
-  /// (reporting the epoch in `last_scan_stats()`), and `Recover` keeps
-  /// going past it. When false, storage faults surface as hard errors.
+  /// (reporting the epoch in that call's `ScanStats::skipped_epochs`), and
+  /// `Recover` keeps going past it. When false, storage faults surface as
+  /// hard errors.
   bool degraded_reads = true;
 
   /// Parallel snapshot pipeline (ingest + scan fan-out). Defaults to fully
@@ -142,8 +143,9 @@ struct RecoveryReport {
 /// one `Ingest`/`Execute`/`ScanWindow`/`RunDecay` call at a time, like the
 /// serial framework. The fan-out happens below the API: ingest compresses
 /// one snapshot's chunks concurrently, scans decode in-window leaves
-/// concurrently, and both fold their stats back before returning. See
-/// DESIGN.md "Concurrency model" for the per-class contracts.
+/// concurrently, and both fold their stats back before returning — a scan
+/// into its caller's `ScanContext`. See DESIGN.md "Concurrency model" for
+/// the per-class contracts.
 class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
  public:
   /// `cell_rows` is the static CELL inventory (also persisted to the DFS).
@@ -182,7 +184,19 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   const IngestStats& last_ingest_stats() const override {
     return last_ingest_;
   }
+  /// Context-free entry point: runs `Execute(query, &ctx)` on a fresh
+  /// context and publishes its stats to `last_scan_stats()`.
   Result<QueryResult> Execute(const ExplorationQuery& query) override;
+  /// Evaluates `query` with per-call state: `ctx->cancel` is polled before
+  /// any storage is touched and between leaf decodes, and `ctx->stats`
+  /// receives the scan's accounting (left empty when a decayed window is
+  /// answered from summaries without a scan). Cancellation unwinds with
+  /// `kDeadlineExceeded`, which is deliberately *not* a degradable failure:
+  /// an expired query aborts instead of skipping the rest of its window as
+  /// "degraded".
+  Result<QueryResult> Execute(const ExplorationQuery& query,
+                              ScanContext* ctx);
+  /// The unrestricted projected scan; stats go to `last_scan_stats()`.
   Status ScanWindow(
       Timestamp begin, Timestamp end,
       const std::function<void(const Snapshot&)>& fn) override;
@@ -193,10 +207,10 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   /// in memory. Either way the streamed snapshots are byte-identical to
   /// the default implementation's, except that leaves proven disjoint from
   /// the box are skipped outright (`fn` not called;
-  /// `last_scan_stats().leaves_skipped_spatial` counts them).
-  Status ScanWindowProjected(
-      const ExplorationQuery& query,
-      const std::function<void(const Snapshot&)>& fn) override;
+  /// `ScanStats::leaves_skipped_spatial` counts them).
+  Status ScanWindowProjected(const ExplorationQuery& query,
+                             const std::function<void(const Snapshot&)>& fn,
+                             ScanContext* ctx = nullptr) override;
   const ScanStats& last_scan_stats() const override { return last_scan_; }
   Result<NodeSummary> AggregateWindow(Timestamp begin,
                                       Timestamp end) override;
@@ -211,13 +225,6 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   const std::vector<Record>& cell_rows() const override {
     return cell_rows_;
   }
-  /// Cooperative cancellation: scans poll the token between leaf decodes
-  /// (serial path) / between batches and inside workers (parallel path) and
-  /// unwind with `kDeadlineExceeded` — which is deliberately *not* a
-  /// degradable failure, so an expired query aborts instead of skipping the
-  /// rest of its window as "degraded".
-  void SetCancelToken(const CancelToken* token) override { cancel_ = token; }
-
   /// The underlying temporal index (inspection / advanced exploration).
   const TemporalIndex& index() const { return index_; }
 
@@ -239,6 +246,17 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
 
   /// Highlight threshold for a level (theta_i, Section V-B).
   double ThetaFor(IndexLevel level) const;
+
+  /// The one answer assembly behind `Execute`, shared with `ScanScheduler`.
+  /// `scanned`: `rows` hold what a scan of the (fully resolved) window
+  /// folded, and a scan that `skipped` no epoch yields the exact answer —
+  /// the rows plus the window summary. Otherwise (a decayed window, or
+  /// epochs hidden by storage faults) the rows are dropped and the smallest
+  /// covering node's highlights answer, marked `degraded` when epochs were
+  /// skipped. Const index reads only.
+  QueryResult AssembleAnswer(const ExplorationQuery& query, bool scanned,
+                             QueryResult rows,
+                             std::vector<Timestamp> skipped) const;
 
   /// The decoded-fragment cache (nullptr when `fragment_cache_bytes == 0`).
   /// Mutators (`Ingest`, decay evictions, `Recover`) bump its generation,
@@ -265,26 +283,27 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   /// DFS path of the raw (compressed) snapshot for an epoch.
   static std::string LeafPath(Timestamp epoch_start);
 
-  /// Per-worker leaf-decode state: a one-entry materialization cache (so a
-  /// sequential run over contiguous leaves resolves each delta against its
-  /// already-decoded predecessor) plus the pool — if any — that chunked
-  /// single-blob decodes may fan out on. Workers of a parallel scan each
-  /// own one with `decode_pool == nullptr` (fan out across leaves OR across
-  /// chunk parts, never both nested).
+  /// Leaf-decode state of one scan call (or of one worker's share of a
+  /// parallel batch): a one-entry materialization cache (so a sequential run
+  /// over contiguous leaves resolves each delta against its already-decoded
+  /// predecessor) plus the pool — if any — that chunked single-blob decodes
+  /// may fan out on. Workers of a parallel scan each own one with
+  /// `decode_pool == nullptr` (fan out across leaves OR across chunk parts,
+  /// never both nested). Nothing of it outlives the call.
   struct DecodeContext {
     Timestamp cache_epoch = -1;
     std::string cache_text;
     ThreadPool* decode_pool = nullptr;
-    /// Cumulative decompressed bytes this context produced (cache hits add
-    /// nothing); scans fold per-leaf deltas into
-    /// `ScanStats::bytes_decoded`.
+    /// Decompressed bytes produced since the scan last zeroed the counters
+    /// (it does before every leaf; cache hits add nothing), folded into
+    /// `ScanStats::bytes_decoded` in leaf order.
     uint64_t bytes_decoded = 0;
     /// Fragment cache handle + the store generation captured at scan start
     /// (no mutator runs during a scan, so it is stable); null/0 disables.
     FragmentCache* fragment_cache = nullptr;
     uint64_t fragment_generation = 0;
-    /// Fragment-cache wins this context observed; scans fold per-leaf
-    /// deltas into `ScanStats::fragment_hits`/`bytes_decoded_saved`.
+    /// Fragment-cache wins, counted and folded the same way into
+    /// `ScanStats::fragment_hits`/`bytes_decoded_saved`.
     uint64_t fragment_hits = 0;
     uint64_t fragment_bytes_saved = 0;
   };
@@ -310,38 +329,43 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   /// Reads + decodes the raw text of one leaf into `ctx`'s cache, resolving
   /// delta chains back to their keyframe (columnar blobs decode fully and
   /// re-serialize, so a delta can chain off a columnar predecessor in a
-  /// mixed store). Touches no framework state except `ctx`, the
-  /// (thread-safe) DFS and the const index/codec — the parallel scan path
-  /// calls it concurrently with per-worker contexts.
-  Result<std::string> MaterializeLeafWith(const LeafNode& leaf,
-                                          DecodeContext* ctx) const;
-
-  /// Serial-path wrapper over the framework-owned context.
-  Result<std::string> MaterializeLeaf(const LeafNode& leaf);
+  /// mixed store). With `columnar_blob`, a columnar keyframe that is not
+  /// resident as row text is not materialized: its blob is handed back
+  /// there (and the text left empty) for the caller's projected decode.
+  /// Touches no framework state except `ctx`, the (thread-safe) DFS and the
+  /// const index/codec — the parallel scan path calls it concurrently with
+  /// per-worker contexts.
+  Result<std::string> MaterializeLeafWith(
+      const LeafNode& leaf, DecodeContext* ctx,
+      std::string* columnar_blob = nullptr) const;
 
   /// Decodes one leaf into a (possibly projected/restricted) snapshot per
-  /// `opts`. Columnar blobs decode exactly the chunks the options call
-  /// for; row blobs materialize their full text and restrict in memory.
+  /// `opts`. Columnar blobs under a restriction decode exactly the chunks
+  /// the options call for; everything else materializes its full text via
+  /// `MaterializeLeafWith` and restricts in memory.
   Status DecodeLeafWith(const LeafNode& leaf, const LeafScanOptions& opts,
                         DecodeContext* ctx, Snapshot* snapshot) const;
 
-  /// Decodes every leaf in `leaves` per `opts` and hands (leaf, snapshot)
-  /// pairs to `fn` on the calling thread, in timestamp order. Fans the
-  /// decode out on the pool when it exists and the window spans at least
-  /// `min_parallel_epochs` leaves; decode failures and degradable `fn`
-  /// statuses feed `last_scan_` via per-worker counters folded in leaf
-  /// order. `fn` returning a degradable status skips that epoch.
+  /// Decodes every leaf in `scan_leaves` per `opts` (minus the leaves a
+  /// box proves disjoint, when `opts.skip_leaves`) and hands (leaf,
+  /// snapshot) pairs to `fn` on the calling thread, in timestamp order,
+  /// polling `ctx->cancel` between decodes. Fans the decode out on the pool
+  /// when it exists and the window spans at least `min_parallel_epochs`
+  /// leaves; decode failures and degradable `fn` statuses feed `ctx->stats`
+  /// via per-leaf counters folded in leaf order. `fn` returning a degradable
+  /// status skips that epoch.
   Status ScanLeaves(
-      const std::vector<const LeafNode*>& leaves,
+      std::vector<const LeafNode*> scan_leaves,
       const LeafScanOptions& opts,
-      const std::function<Status(const LeafNode&, const Snapshot&)>& fn);
+      const std::function<Status(const LeafNode&, const Snapshot&)>& fn,
+      ScanContext* ctx);
 
   /// True if the snapshot at `epoch_start` starts a keyframe group.
   bool IsKeyframe(Timestamp epoch_start) const;
 
   /// Exact-path evaluation using the per-leaf spatial sidecars.
   Status ExecuteExactWithLeafIndex(const ExplorationQuery& query,
-                                   QueryResult* result);
+                                   QueryResult* result, ScanContext* ctx);
 
   /// Shared construction guts for the public ctor and `Recover`.
   SpateFramework(SpateOptions options,
@@ -360,13 +384,9 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   ScanStats last_scan_;
   RecoveryReport recovery_report_;
   Timestamp last_day_persisted_ = -1;
-  /// Installed by `SetCancelToken`; polled by scans. Not owned.
-  const CancelToken* cancel_ = nullptr;
   // Differential-mode state.
   std::string last_ingest_text_;
   Timestamp last_ingest_epoch_ = -1;
-  /// Serial-path materialization cache (parallel scans use per-worker ones).
-  DecodeContext materialize_ctx_;
   /// Decoded-fragment cache (null when `fragment_cache_bytes == 0`). The
   /// cache object is internally synchronized; the generation discipline —
   /// bump on every mutator, capture once per scan — follows the

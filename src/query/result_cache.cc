@@ -1,6 +1,7 @@
 #include "query/result_cache.h"
 
 #include "common/clock.h"
+#include "core/spate_framework.h"
 #include "telco/schema.h"
 
 namespace spate {
@@ -76,7 +77,8 @@ bool ResultCache::WouldServe(const ExplorationQuery& query) const {
 }
 
 std::optional<QueryResult> ResultCache::Lookup(const ExplorationQuery& query,
-                                               const CellDirectory& cells) {
+                                               const CellDirectory& cells,
+                                               double theta) {
   MutexLock lock(&mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (!it->result.exact || !Covers(it->query, query)) continue;
@@ -107,7 +109,7 @@ std::optional<QueryResult> ResultCache::Lookup(const ExplorationQuery& query,
     pseudo.cdr = narrowed.cdr_rows;
     pseudo.nms = narrowed.nms_rows;
     narrowed.summary.AddSnapshot(pseudo);
-    narrowed.highlights = narrowed.summary.ExtractHighlights(0.05);
+    narrowed.highlights = narrowed.summary.ExtractHighlights(theta);
     if (!query.attributes.empty()) {
       ProjectRows(ResolveProjection(CdrSchema(), query.attributes),
                   &narrowed.cdr_rows);
@@ -128,15 +130,19 @@ void ResultCache::Insert(const ExplorationQuery& query,
   while (entries_.size() > capacity_) entries_.pop_back();
 }
 
-Result<QueryResult> CachedExplorer::Execute(const ExplorationQuery& query) {
-  if (auto cached = cache_.Lookup(query, framework_->cells())) {
+Result<QueryResult> CachedExplorer::Execute(const ExplorationQuery& query,
+                                            ScanContext* ctx) {
+  if (auto cached = cache_.Lookup(query, framework_->cells(),
+                                  framework_->ThetaFor(IndexLevel::kDay))) {
     return *std::move(cached);
   }
-  SPATE_ASSIGN_OR_RETURN(QueryResult result, framework_->Execute(query));
+  ScanContext own;
+  if (ctx == nullptr) ctx = &own;
+  SPATE_ASSIGN_OR_RETURN(QueryResult result, framework_->Execute(query, ctx));
   if (result.exact) {
     // Remember what the execution cost in decompressed bytes, so future
     // hits can report the decode work the cache saved.
-    cache_.Insert(query, result, framework_->last_scan_stats().bytes_decoded);
+    cache_.Insert(query, result, ctx->stats.bytes_decoded);
   }
   return result;
 }

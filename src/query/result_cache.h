@@ -10,6 +10,8 @@
 
 namespace spate {
 
+class SpateFramework;
+
 /// LRU cache of exploration results with sub-window/sub-box containment —
 /// the paper's UI cache (Section VI-A): SPATE deliberately retrieves a
 /// larger period than requested as implicit prefetching, and "when users
@@ -47,9 +49,14 @@ class ResultCache {
 
   explicit ResultCache(size_t capacity = 16) : capacity_(capacity) {}
 
-  /// Returns the narrowed result if some cached entry covers `query`.
+  /// Returns the narrowed result if some cached entry covers `query`. A
+  /// narrowed hit re-extracts its highlights at `theta`: pass the day
+  /// threshold of the framework serving the query
+  /// (`SpateFramework::ThetaFor(IndexLevel::kDay)`), so a hit answers with
+  /// the same highlights as a miss.
   std::optional<QueryResult> Lookup(const ExplorationQuery& query,
-                                    const CellDirectory& cells) EXCLUDES(mu_);
+                                    const CellDirectory& cells,
+                                    double theta) EXCLUDES(mu_);
 
   /// Pure peek for the SQL planner's cost model: true when a `Lookup` of
   /// `query` would hit right now. Touches no LRU order and no counters, so
@@ -116,17 +123,19 @@ class ResultCache {
 /// in front of a framework (what the SPATE-UI web tier does).
 class CachedExplorer {
  public:
-  explicit CachedExplorer(Framework* framework, size_t capacity = 16)
+  explicit CachedExplorer(SpateFramework* framework, size_t capacity = 16)
       : framework_(framework), cache_(capacity) {}
 
   /// Executes `query`, consulting the cache first and caching exact
-  /// results.
-  Result<QueryResult> Execute(const ExplorationQuery& query);
+  /// results. `ctx` (optional, fresh per call) carries the cancel token to
+  /// a miss's scan and receives its stats; a hit leaves it untouched.
+  Result<QueryResult> Execute(const ExplorationQuery& query,
+                              ScanContext* ctx = nullptr);
 
   const ResultCache& cache() const { return cache_; }
 
  private:
-  Framework* framework_;
+  SpateFramework* framework_;
   ResultCache cache_;
 };
 

@@ -167,28 +167,16 @@ std::shared_ptr<ScanScheduler::Pass> ScanScheduler::BuildPassLocked(
   return pass;
 }
 
-void ScanScheduler::HarvestSkipsLocked(const std::shared_ptr<Pass>& pass) {
-  // `last_scan_stats()` belongs to the pass while it owns the scan slot;
-  // skips are appended in strict epoch order *before* any later leaf's fold
-  // (both scan paths fold serially on the leader thread), so harvesting
-  // here — before rows fold — means a waiter can never be released with an
-  // in-window skip still unseen.
-  const std::vector<Timestamp>& skips =
-      framework_->last_scan_stats().skipped_epochs;
-  for (; pass->skip_cursor < skips.size(); ++pass->skip_cursor) {
-    const Timestamp s = skips[pass->skip_cursor];
-    for (Waiter* w : pass->waiters) {
-      if (s < w->first_epoch || s > w->last_epoch) continue;
-      w->skipped.push_back(s);
-    }
-    if (s > pass->resolved_through) pass->resolved_through = s;
-  }
-}
-
 void ScanScheduler::FoldLeafLocked(const std::shared_ptr<Pass>& pass,
-                                   Timestamp epoch, const Snapshot& snapshot) {
-  HarvestSkipsLocked(pass);
-  pass->bytes_so_far = framework_->last_scan_stats().bytes_decoded;
+                                   const ScanStats& scan,
+                                   const Snapshot& snapshot) {
+  // Publish the scan's progress before any waiter is released: skips are
+  // recorded in strict epoch order before any later leaf folds (the scan
+  // folds serially on this leader thread), so a waiter released below finds
+  // every in-window skip in `pass->scan` — and each one precedes `epoch`,
+  // which is where `resolved_through` moves.
+  pass->scan = scan;
+  const Timestamp epoch = snapshot.epoch_start;
   for (Waiter* w : pass->waiters) {
     if (w->rows_done) continue;
     if (epoch < w->first_epoch || epoch > w->last_epoch) continue;
@@ -239,31 +227,26 @@ void ScanScheduler::RunPass(const std::shared_ptr<Pass>& pass) {
   // scan error (wakeup and status propagation still run).
   Status pass_status;
   SPATE_FAILPOINT_INJECT("query.scan_scheduler.pass", pass_status);
-  bool scanned = false;
+  // The pass's own per-call context: its token (cancelled only once no
+  // waiter needs the pass) in, its stats out. A pass that fails before
+  // scanning leaves the stats empty.
+  ScanContext scan{&pass->pass_token, {}};
   if (pass_status.ok()) {
-    scanned = true;
-    framework_->SetCancelToken(&pass->pass_token);
     pass_status = framework_->ScanWindowProjected(
-        pass->union_query, [&](const Snapshot& snapshot) {
+        pass->union_query,
+        [&](const Snapshot& snapshot) {
           MutexLock lock(&mu_);
-          FoldLeafLocked(pass, snapshot.epoch_start, snapshot);
-        });
-    framework_->SetCancelToken(nullptr);
+          FoldLeafLocked(pass, scan.stats, snapshot);
+        },
+        &scan);
   }
   MutexLock lock(&mu_);
-  if (scanned) {
-    // Trailing skips (epochs after the last streamed leaf) and the final
-    // byte count only exist in the framework's stats now; harvest them
-    // while the scan slot is still ours. When the pass failed before
-    // scanning, `last_scan_stats()` still describes the *previous* scan —
-    // touching it would corrupt waiter skip lists and the counters.
-    HarvestSkipsLocked(pass);
-    const ScanStats& scan = framework_->last_scan_stats();
-    pass->bytes_so_far = scan.bytes_decoded;
-    stats_.bytes_decoded += scan.bytes_decoded;
-    stats_.fragment_hits += scan.fragment_hits;
-    stats_.bytes_decoded_saved += scan.bytes_decoded_saved;
-  }
+  // Trailing skips (epochs after the last streamed leaf) and the final byte
+  // count.
+  pass->scan = std::move(scan.stats);
+  stats_.bytes_decoded += pass->scan.bytes_decoded;
+  stats_.fragment_hits += pass->scan.fragment_hits;
+  stats_.bytes_decoded_saved += pass->scan.bytes_decoded_saved;
   pass->status = pass_status;
   pass->done = true;
   if (pass_status.ok()) {
@@ -273,60 +256,6 @@ void ScanScheduler::RunPass(const std::shared_ptr<Pass>& pass) {
   }
   current_ = nullptr;
   cv_.NotifyAll();
-}
-
-Result<QueryResult> ScanScheduler::CoveringAnswer(
-    const ExplorationQuery& query) const {
-  QueryResult result;
-  const CoveringNode covering =
-      framework_->index().FindCovering(query.window_begin, query.window_end);
-  result.exact = false;
-  result.served_from = covering.level;
-  result.summary =
-      RestrictSummaryToBox(*covering.summary, query, framework_->cells());
-  result.highlights =
-      result.summary.ExtractHighlights(framework_->ThetaFor(covering.level));
-  return result;
-}
-
-Result<QueryResult> ScanScheduler::FinishWaiter(Waiter* w, Status pass_status,
-                                                SharedExecInfo* info) {
-  (void)info;
-  // A waiter whose leaves all resolved before the pass ended (or failed)
-  // succeeds regardless of what happened to the rest of the pass — a
-  // private scan of its window would never have seen that failure.
-  if (!w->rows_done && !pass_status.ok()) return pass_status;
-  const ExplorationQuery& query = w->query;
-  QueryResult result = std::move(w->result);
-  if (w->skipped.empty()) {
-    // Exact answer, same tail as `SpateFramework::Execute`'s complete-scan
-    // path (const index reads, safe under the query lease).
-    result.exact = true;
-    result.served_from = IndexLevel::kEpoch;
-    result.summary = RestrictSummaryToBox(
-        framework_->index().SummarizeWindow(query.window_begin,
-                                            query.window_end),
-        query, framework_->cells());
-    result.highlights =
-        result.summary.ExtractHighlights(framework_->ThetaFor(IndexLevel::kDay));
-    return result;
-  }
-  // Storage faults hid at least one of this waiter's leaves: drop the
-  // partial rows and degrade to the covering summary, exactly like
-  // `SpateFramework::Execute` does.
-  result.cdr_rows.clear();
-  result.nms_rows.clear();
-  result.degraded = true;
-  result.skipped_epochs = std::move(w->skipped);
-  const CoveringNode covering =
-      framework_->index().FindCovering(query.window_begin, query.window_end);
-  result.exact = false;
-  result.served_from = covering.level;
-  result.summary =
-      RestrictSummaryToBox(*covering.summary, query, framework_->cells());
-  result.highlights =
-      result.summary.ExtractHighlights(framework_->ThetaFor(covering.level));
-  return result;
 }
 
 Result<QueryResult> ScanScheduler::Execute(const ExplorationQuery& query,
@@ -365,7 +294,8 @@ Result<QueryResult> ScanScheduler::Execute(const ExplorationQuery& query,
                                                query.window_end)) {
     ++stats_.summary_answers;
     mu_.Unlock();
-    Result<QueryResult> result = CoveringAnswer(query);
+    QueryResult result =
+        framework_->AssembleAnswer(query, /*scanned=*/false, {}, {});
     mu_.Lock();
     ReleaseQueryLeaseLocked();
     mu_.Unlock();
@@ -395,17 +325,13 @@ Result<QueryResult> ScanScheduler::Execute(const ExplorationQuery& query,
     solo_busy_ = true;
     ++stats_.solo_executes;
     mu_.Unlock();
-    framework_->SetCancelToken(cancel);
-    Result<QueryResult> result = framework_->Execute(query);
-    framework_->SetCancelToken(nullptr);
-    // The window is fully resolved (checked above, stable under the lease),
-    // so `Execute` ran a scan and `last_scan_stats()` is this query's.
-    const ScanStats& scan = framework_->last_scan_stats();
-    const uint64_t bytes = scan.bytes_decoded;
+    ScanContext scan{cancel, {}};
+    Result<QueryResult> result = framework_->Execute(query, &scan);
+    const uint64_t bytes = scan.stats.bytes_decoded;
     mu_.Lock();
     stats_.bytes_decoded += bytes;
-    stats_.fragment_hits += scan.fragment_hits;
-    stats_.bytes_decoded_saved += scan.bytes_decoded_saved;
+    stats_.fragment_hits += scan.stats.fragment_hits;
+    stats_.bytes_decoded_saved += scan.stats.bytes_decoded_saved;
     solo_busy_ = false;
     ReleaseQueryLeaseLocked();
     mu_.Unlock();
@@ -474,16 +400,31 @@ Result<QueryResult> ScanScheduler::Execute(const ExplorationQuery& query,
   }
 
   // Settled: either our rows are complete (`rows_done`, possibly with
-  // skips) or the pass ended without resolving us (it failed).
-  const Status pass_status = w.pass->status;
-  const uint64_t pass_bytes = w.pass->bytes_so_far;
+  // skips) or the pass ended without resolving us (it failed). A waiter
+  // whose leaves all resolved before the pass ended (or failed) succeeds
+  // regardless of what happened to the rest of the pass — a private scan
+  // of its window would never have seen that failure.
   const std::shared_ptr<Pass> pass = w.pass;
+  const Status failure = w.rows_done ? Status::OK() : pass->status;
+  const uint64_t pass_bytes = pass->scan.bytes_decoded;
+  // Our skips are the pass's in our window (the list is in epoch order);
+  // all of them were published before our release.
+  const std::vector<Timestamp>& all = pass->scan.skipped_epochs;
+  std::vector<Timestamp> skipped(
+      std::lower_bound(all.begin(), all.end(), w.first_epoch),
+      std::upper_bound(all.begin(), all.end(), w.last_epoch));
   RemoveWaiterLocked(&w);
   // An early-released waiter leaving may have been the last one who still
   // needed the (ongoing) pass.
   if (!pass->done) MaybeAbandonPassLocked(pass);
   mu_.Unlock();
-  Result<QueryResult> result = FinishWaiter(&w, pass_status, info);
+  // The same tail as a private `Execute` (const index reads, safe under
+  // the query lease): skips degrade to the covering summary.
+  Result<QueryResult> result =
+      failure.ok() ? Result<QueryResult>(framework_->AssembleAnswer(
+                         w.query, /*scanned=*/true, std::move(w.result),
+                         std::move(skipped)))
+                   : Result<QueryResult>(failure);
   mu_.Lock();
   ReleaseQueryLeaseLocked();
   mu_.Unlock();

@@ -143,8 +143,6 @@ class ScanScheduler {
     const CancelToken* cancel = nullptr;
     /// Rows folded so far (leaf order, same as a private scan).
     QueryResult result;
-    /// In-window epochs the pass skipped (degraded reads).
-    std::vector<Timestamp> skipped;
     /// Every leaf intersecting this waiter's window has been folded.
     bool rows_done = false;
     std::shared_ptr<Pass> pass;
@@ -169,11 +167,11 @@ class ScanScheduler {
     CancelToken pass_token;
     bool done = false;
     Status status;
-    /// Skip-list harvest cursor into `last_scan_stats().skipped_epochs`.
-    size_t skip_cursor = 0;
-    /// `bytes_decoded` of the pass so far (monotone snapshot of the
-    /// framework's scan stats, readable after the pass ends too).
-    uint64_t bytes_so_far = 0;
+    /// The pass's `ScanStats` as of its latest fold: a copy, under `mu_`, of
+    /// the leader's `ScanContext` (which the scan writes unlocked), readable
+    /// after the pass ends too. Waiters take their in-window skips and the
+    /// pass's decoded bytes from it.
+    ScanStats scan;
   };
 
   /// Blocks until no exclusive section runs or waits, then takes a lease;
@@ -203,17 +201,15 @@ class ScanScheduler {
   /// streamed leaf into every registered waiter, then publishes completion.
   void RunPass(const std::shared_ptr<Pass>& pass) EXCLUDES(mu_);
 
-  /// Per-leaf fold: harvests new skips, appends the snapshot's matching
-  /// rows to every registered waiter whose window contains `epoch` (via
+  /// Per-leaf fold: publishes the scan's stats so far (`scan`, its skips
+  /// included) to `pass->scan`, appends the snapshot's matching rows to
+  /// every registered waiter whose window contains its epoch (via
   /// `FilterSnapshotRows` with the *waiter's* query), advances
   /// `resolved_through`, releases early-finished waiters and aborts the
   /// pass when nobody live remains.
-  void FoldLeafLocked(const std::shared_ptr<Pass>& pass, Timestamp epoch,
-                      const Snapshot& snapshot) REQUIRES(mu_);
-
-  /// Appends `last_scan_stats().skipped_epochs` entries past the pass's
-  /// cursor to every intersecting waiter's skip list.
-  void HarvestSkipsLocked(const std::shared_ptr<Pass>& pass) REQUIRES(mu_);
+  void FoldLeafLocked(const std::shared_ptr<Pass>& pass,
+                      const ScanStats& scan, const Snapshot& snapshot)
+      REQUIRES(mu_);
 
   /// Cancels the pass's token iff no registered waiter still needs it
   /// (everyone released or expired) — the only way a pass aborts early.
@@ -222,18 +218,6 @@ class ScanScheduler {
 
   /// Unregisters `w` from the pending list / its pass.
   void RemoveWaiterLocked(Waiter* w) REQUIRES(mu_);
-
-  /// Finishes a waiter whose rows (or pass status) are settled: replicates
-  /// the tail of `SpateFramework::Execute` — complete scan => exact answer
-  /// + window summary; skips => degrade to the covering node. Runs under
-  /// the query lease with `mu_` released (const index reads only).
-  Result<QueryResult> FinishWaiter(Waiter* w, Status pass_status,
-                                   SharedExecInfo* info) EXCLUDES(mu_);
-
-  /// Summary-only answer for a window that is not fully resolved (decayed
-  /// data): no leaf pass can add rows, so serve the covering highlights
-  /// directly (same result as `SpateFramework::Execute`'s covering path).
-  Result<QueryResult> CoveringAnswer(const ExplorationQuery& query) const;
 
   SpateFramework* const framework_;
 

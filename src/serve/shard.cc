@@ -108,7 +108,7 @@ void Shard::RunQuery(
     // an upper bound on this query's own) prices the cache insert.
     SharedExecInfo info;
     std::optional<QueryResult> cached =
-        cache_.Lookup(query, framework_->cells());
+        cache_.Lookup(query, framework_->cells(), theta_);
     Result<QueryResult> result =
         cached.has_value() ? Result<QueryResult>(*std::move(cached))
                            : scheduler_.Execute(query, cancel.get(), &info);

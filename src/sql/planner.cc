@@ -75,28 +75,25 @@ void CollectRows(const Snapshot& snapshot, const ExplorationQuery& query,
 /// bytes, and feeds the cache when the scan completed without skips.
 Result<SqlResult> RunScan(Framework& framework, const ExplorationQuery& query,
                           SqlEvaluation& eval, ResultCache* cache,
-                          uint64_t* actual_bytes_decoded, bool projected) {
+                          uint64_t* actual_bytes_decoded) {
   QueryResult collected;
   const bool collect = cache != nullptr;
-  const auto consume = [&](const Snapshot& snapshot) {
-    eval.ConsumeSnapshot(snapshot);
-    if (collect) CollectRows(snapshot, query, &collected);
-  };
-  if (projected) {
-    SPATE_RETURN_IF_ERROR(framework.ScanWindowProjected(query, consume));
-  } else {
-    SPATE_RETURN_IF_ERROR(
-        framework.ScanWindow(query.window_begin, query.window_end, consume));
-  }
-  const ScanStats& stats = framework.last_scan_stats();
+  ScanContext scan;
+  SPATE_RETURN_IF_ERROR(framework.ScanWindowProjected(
+      query,
+      [&](const Snapshot& snapshot) {
+        eval.ConsumeSnapshot(snapshot);
+        if (collect) CollectRows(snapshot, query, &collected);
+      },
+      &scan));
   if (actual_bytes_decoded != nullptr) {
-    *actual_bytes_decoded = stats.bytes_decoded;
+    *actual_bytes_decoded = scan.stats.bytes_decoded;
   }
   // Only complete scans are cacheable — an entry must stand for the whole
   // window, not for whichever replicas happened to be readable.
-  if (collect && stats.complete()) {
+  if (collect && scan.stats.complete()) {
     collected.exact = true;
-    cache->Insert(query, collected, stats.bytes_decoded);
+    cache->Insert(query, collected, scan.stats.bytes_decoded);
   }
   return eval.Finish();
 }
@@ -280,8 +277,10 @@ Result<SqlResult> ExecutePlan(Framework& framework, const QueryPlan& plan,
     }
     case PlanScanKind::kCacheServe: {
       if (cache != nullptr) {
+        // SQL replays only the hit's rows, so no highlight threshold
+        // applies: theta 0 skips the rare-value scan.
         std::optional<QueryResult> hit =
-            cache->Lookup(plan.query, framework.cells());
+            cache->Lookup(plan.query, framework.cells(), /*theta=*/0);
         if (hit.has_value()) {
           const std::vector<Record>& rows =
               eval.is_cdr() ? hit->cdr_rows : hit->nms_rows;
@@ -291,15 +290,13 @@ Result<SqlResult> ExecutePlan(Framework& framework, const QueryPlan& plan,
       }
       // Raced out between planning and execution (eviction, Clear): run
       // the same lowered query as a scan — bit-identical, just slower.
-      return RunScan(framework, plan.query, eval, cache, actual_bytes_decoded,
-                     /*projected=*/true);
+      return RunScan(framework, plan.query, eval, cache, actual_bytes_decoded);
     }
     case PlanScanKind::kProjectedScan:
-      return RunScan(framework, plan.query, eval, cache, actual_bytes_decoded,
-                     /*projected=*/true);
+      return RunScan(framework, plan.query, eval, cache, actual_bytes_decoded);
     case PlanScanKind::kRowScan:
       return RunScan(framework, RowQueryFor(plan.query), eval, cache,
-                     actual_bytes_decoded, /*projected=*/false);
+                     actual_bytes_decoded);
   }
   return Status::Internal("sql: unreachable plan kind");
 }

@@ -2,11 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <tuple>
+
 #include "core/spate_framework.h"
 #include "telco/generator.h"
 
 namespace spate {
 namespace {
+
+/// The default day threshold, for direct `Lookup`s in front of `spate_`.
+constexpr double kTheta = 0.05;
+
+/// The (attribute, value, cell_id) identity of a result's highlights.
+std::set<std::tuple<std::string, std::string, std::string>> HighlightSet(
+    const QueryResult& result) {
+  std::set<std::tuple<std::string, std::string, std::string>> set;
+  for (const Highlight& h : result.highlights) {
+    set.emplace(h.attribute, h.value, h.cell_id);
+  }
+  return set;
+}
 
 class ResultCacheTest : public ::testing::Test {
  protected:
@@ -113,6 +130,9 @@ TEST_F(ResultCacheTest, BoxedEntryDoesNotServeUnboxedQuery) {
 TEST_F(ResultCacheTest, HitsCreditBytesDecodedSaved) {
   CachedExplorer explorer(spate_);
   ASSERT_TRUE(explorer.Execute(DayQuery()).ok());  // miss: scans + inserts
+  // The miss scanned with its own context; a direct execution of the same
+  // query (no fragment cache) decodes the same bytes.
+  ASSERT_TRUE(spate_->Execute(DayQuery()).ok());
   const uint64_t scan_cost = spate_->last_scan_stats().bytes_decoded;
   ASSERT_GT(scan_cost, 0u);
   EXPECT_EQ(explorer.cache().stats().bytes_decoded_saved, 0u);
@@ -179,12 +199,33 @@ TEST_F(ResultCacheTest, UnprojectedEntryServesProjectedSubQuery) {
   EXPECT_EQ(cached->summary.cdr_rows(), direct->summary.cdr_rows());
 }
 
+// A narrowed hit re-extracts its highlights at the serving framework's day
+// threshold, so at a non-default theta a hit still answers with the same
+// highlights as a direct `Execute`.
+TEST_F(ResultCacheTest, HitHighlightsUseTheFrameworksTheta) {
+  SpateOptions options;
+  options.theta_day = 0.5;
+  SpateFramework framework(options, gen_->cells());
+  for (Timestamp epoch : gen_->EpochStarts()) {
+    ASSERT_TRUE(framework.Ingest(gen_->GenerateSnapshot(epoch)).ok());
+  }
+  CachedExplorer explorer(&framework);
+  ASSERT_TRUE(explorer.Execute(DayQuery()).ok());  // miss: fills the cache
+  auto hit = explorer.Execute(DayQuery());
+  ASSERT_TRUE(hit.ok());
+  ASSERT_EQ(explorer.cache().hits(), 1u);
+  auto direct = framework.Execute(DayQuery());
+  ASSERT_TRUE(direct.ok());
+  EXPECT_FALSE(direct->highlights.empty());
+  EXPECT_EQ(HighlightSet(*hit), HighlightSet(*direct));
+}
+
 TEST_F(ResultCacheTest, ClearResetsBytesDecodedSaved) {
   ResultCache cache(4);
   QueryResult dummy;
   dummy.exact = true;
   cache.Insert(DayQuery(), dummy, /*bytes_decoded=*/12345);
-  ASSERT_TRUE(cache.Lookup(DayQuery(), spate_->cells()).has_value());
+  ASSERT_TRUE(cache.Lookup(DayQuery(), spate_->cells(), kTheta).has_value());
   ASSERT_EQ(cache.stats().bytes_decoded_saved, 12345u);
   cache.Clear();
   const ResultCache::CacheStats stats = cache.stats();
@@ -207,8 +248,8 @@ TEST_F(ResultCacheTest, LruEviction) {
   cache.Insert(q3, dummy);  // evicts q1
   EXPECT_EQ(cache.size(), 2u);
   ExplorationQuery probe = q1;
-  EXPECT_FALSE(cache.Lookup(probe, spate_->cells()).has_value());
-  EXPECT_TRUE(cache.Lookup(q3, spate_->cells()).has_value());
+  EXPECT_FALSE(cache.Lookup(probe, spate_->cells(), kTheta).has_value());
+  EXPECT_TRUE(cache.Lookup(q3, spate_->cells(), kTheta).has_value());
 }
 
 TEST_F(ResultCacheTest, ZeroCapacityNeverCaches) {

@@ -159,18 +159,19 @@ TEST(DeadlinePropagationTest, CancelObservedBetweenLeaves) {
     epochs.push_back(epoch);
   }
   CancelToken token;
-  framework.SetCancelToken(&token);
+  ScanContext ctx;
+  ctx.cancel = &token;
   int streamed = 0;
-  const Status scan = framework.ScanWindow(
-      epochs.front(), epochs.back() + kEpochSeconds,
+  const Status scan = framework.ScanWindowProjected(
+      WindowQuery(epochs.front(), epochs.back() + kEpochSeconds),
       [&](const Snapshot&) {
         ++streamed;
         token.Cancel();  // cancel mid-scan, from the serial fold
-      });
-  framework.SetCancelToken(nullptr);
+      },
+      &ctx);
   EXPECT_TRUE(scan.IsDeadlineExceeded()) << scan.ToString();
   EXPECT_EQ(streamed, 1);  // the check fired before the second decode
-  // The token detached: the same scan now completes.
+  // The token went with that call only: the same scan now completes.
   int full = 0;
   ASSERT_TRUE(framework
                   .ScanWindow(epochs.front(), epochs.back() + kEpochSeconds,
@@ -186,11 +187,61 @@ TEST(DeadlinePropagationTest, ExpiredTokenFailsExecuteBeforeStorage) {
   ASSERT_TRUE(framework.Ingest(gen.GenerateSnapshot(epoch)).ok());
   CancelToken token;
   token.Cancel();
-  framework.SetCancelToken(&token);
+  ScanContext ctx;
+  ctx.cancel = &token;
   const auto result =
-      framework.Execute(WindowQuery(epoch, epoch + kEpochSeconds));
+      framework.Execute(WindowQuery(epoch, epoch + kEpochSeconds), &ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeadlineExceeded());
+}
+
+// The parallel scan path observes a per-call token too: with the decode
+// fanned out, a token cancelled from the first fold stops the scan at the
+// next batch boundary — the first batch's already-decoded leaves still
+// fold, the rest of the window never does. Nothing of the call stays on the
+// framework: the next call, without a token, completes.
+TEST(DeadlinePropagationTest, CancelObservedOnParallelScan) {
+  const TraceGenerator gen(ServeTrace());
+  SpateOptions options;
+  options.parallelism.worker_count = 4;
+  options.parallelism.min_parallel_epochs = 2;
+  SpateFramework framework(options, gen.cells());
+  // More leaves than one parallel batch (4 workers x 4) holds.
+  std::vector<Timestamp> epochs;
+  for (Timestamp epoch : gen.EpochStarts()) {
+    if (epochs.size() >= 24) break;
+    ASSERT_TRUE(framework.Ingest(gen.GenerateSnapshot(epoch)).ok());
+    epochs.push_back(epoch);
+  }
+  ASSERT_EQ(epochs.size(), 24u);
+  const ExplorationQuery window =
+      WindowQuery(epochs.front(), epochs.back() + kEpochSeconds);
+  CancelToken token;
+  ScanContext ctx;
+  ctx.cancel = &token;
+  int streamed = 0;
+  const Status scan = framework.ScanWindowProjected(
+      window,
+      [&](const Snapshot&) {
+        ++streamed;
+        token.Cancel();  // cancel from the first fold
+      },
+      &ctx);
+  EXPECT_TRUE(scan.IsDeadlineExceeded()) << scan.ToString();
+  EXPECT_GE(streamed, 1);
+  EXPECT_LT(streamed, static_cast<int>(epochs.size()));
+  EXPECT_EQ(ctx.stats.leaves_scanned, static_cast<size_t>(streamed));
+  EXPECT_TRUE(ctx.stats.complete());  // cancelled, not degraded
+
+  int full = 0;
+  ASSERT_TRUE(framework.ScanWindow(window.window_begin, window.window_end,
+                                   [&](const Snapshot&) { ++full; })
+                  .ok());
+  EXPECT_EQ(full, static_cast<int>(epochs.size()));
+  const auto result = framework.Execute(window);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->exact);
+  EXPECT_EQ(framework.last_scan_stats().leaves_scanned, epochs.size());
 }
 
 /// Kills every datanode of one shard's DFS, so its queries fail hard.

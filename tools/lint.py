@@ -39,7 +39,14 @@ Checks, over src/ (and headers' include guards):
      Read...) must be claimed by a `// FUZZ-COVERS: <header>:<Function>`
      line in some fuzz/*.cc harness, and every such claim must name an
      entry point that still exists — adding a decoder without a fuzz
-     target (or deleting one and leaving a stale claim) fails the build.
+     target (or deleting one and leaving a stale claim) fails the build;
+  9. per-call scan state: a scan's cancel token and stats travel with the
+     call in a `ScanContext` (src/core/framework.h), never through the
+     shared framework. `SetCancelToken` must not appear anywhere in src/
+     (comments included), and `last_scan_stats()` — the context-free
+     entry points' convenience for single-threaded readers — is not
+     called in src/ outside core/framework.h and
+     core/spate_framework.{h,cc}.
 
 Exit code 0 when clean, 1 with findings on stderr otherwise.
 `--root <dir>` points the lint at another repo checkout (the self-test in
@@ -102,6 +109,14 @@ ANNOTATION_RE = re.compile(
     r"\b(GUARDED_BY|PT_GUARDED_BY|CAPABILITY|REQUIRES|EXCLUDES|"
     r"SPATE_EXTERNALLY_SYNCHRONIZED)\b"
 )
+
+# Rule 9: the only src/ files that may touch `last_scan_stats()`.
+SCAN_STATS_READERS = {
+    os.path.join("src", "core", "framework.h"),
+    os.path.join("src", "core", "spate_framework.h"),
+    os.path.join("src", "core", "spate_framework.cc"),
+}
+LAST_SCAN_STATS_RE = re.compile(r"\blast_scan_stats\s*\(")
 
 BARE_ASSERT_RE = re.compile(r"(?<![_A-Za-z0-9])assert\s*\(")
 NAKED_NEW_RE = re.compile(r"(?<![_A-Za-z0-9])new\b(?!\s*\()")
@@ -376,6 +391,16 @@ def main():
                         " spate::Mutex / MutexLock / CondVar"
                         " (src/common/mutex.h) so the lock is ranked and"
                         " visible to lockdep and tools/lockgraph.py")
+            if "SetCancelToken" in raw:
+                findings.append(
+                    f"{rel}:{number}: `SetCancelToken` — pass the cancel"
+                    " token with the call in a ScanContext"
+                    " (src/core/framework.h) (rule 9)")
+            if rel not in SCAN_STATS_READERS and LAST_SCAN_STATS_RE.search(
+                    code):
+                findings.append(
+                    f"{rel}:{number}: `last_scan_stats()` read — take the"
+                    " call's stats from its ScanContext (rule 9)")
 
         if rel.endswith(".h"):
             guard = expected_guard(rel)

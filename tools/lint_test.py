@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Self-test for tools/lint.py's adversarial-bytes rules (7 and 8).
+"""Self-test for tools/lint.py's adversarial-bytes rules (7 and 8), its
+per-call scan-state rule (9), and tools/failscan.py.
 
 Builds synthetic repo trees in a tempdir and runs the linter against them
 with --root, asserting that a clean decoder passes and that each violation
@@ -135,6 +136,53 @@ class LintRule7And8Test(unittest.TestCase):
             "Status Compress(const char* input, unsigned long size);"))
         code, stderr = run_lint(self.root)
         self.assertEqual(code, 0, stderr)
+
+
+# A scan caller that keeps its per-call state in a ScanContext; mentioning
+# the framework's `last_scan_stats()` in a comment is fine.
+SCAN_CALLER = """\
+#include "core/framework.h"
+
+namespace spate {
+// Not `framework.last_scan_stats()`: the stats come with the call.
+uint64_t ScanBytes(Framework& framework, const ExplorationQuery& query) {
+  ScanContext scan;
+  (void)framework.ScanWindowProjected(query, [](const Snapshot&) {}, &scan);
+  return scan.stats.bytes_decoded;
+}
+}  // namespace spate
+"""
+
+
+class LintRule9Test(unittest.TestCase):
+    def setUp(self):
+        self._tmp = tempfile.TemporaryDirectory()
+        self.root = self._tmp.name
+        write(self.root, "src/sql/scan_caller.cc", SCAN_CALLER)
+
+    def tearDown(self):
+        self._tmp.cleanup()
+
+    def test_context_passing_caller_passes(self):
+        code, stderr = run_lint(self.root)
+        self.assertEqual(code, 0, stderr)
+
+    def test_last_scan_stats_read_fails_rule9(self):
+        write(self.root, "src/sql/scan_caller.cc", SCAN_CALLER.replace(
+            "return scan.stats.bytes_decoded;",
+            "return framework.last_scan_stats().bytes_decoded;"))
+        code, stderr = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertIn("rule 9", stderr)
+        self.assertIn("scan_caller.cc:8", stderr)
+
+    def test_set_cancel_token_fails_rule9_even_in_a_comment(self):
+        write(self.root, "src/sql/scan_caller.cc", SCAN_CALLER.replace(
+            "// Not", "// (see Framework::SetCancelToken) Not"))
+        code, stderr = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertIn("rule 9", stderr)
+        self.assertIn("SetCancelToken", stderr)
 
 
 FAILSCAN = os.path.join(
