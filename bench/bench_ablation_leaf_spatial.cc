@@ -3,10 +3,11 @@
 // query response time benefits at the price of additional storage space
 // that we aim to minimize").
 //
-// With `leaf_spatial_index` on, every snapshot gets a compressed
-// cell->rows sidecar; bounding-box queries then jump straight to matching
-// rows instead of filtering every parsed row. This bench measures the
-// query-time benefit and the storage cost for several box sizes.
+// With `leaf_spatial_index` on, every row leaf gets a compressed
+// cell->rows sidecar; a bounding-box decode of the leaf then keeps the rows
+// the sidecar lists instead of testing every parsed row's cell. This bench
+// measures the query-time benefit and the storage cost for several box
+// sizes.
 
 #include <cstdio>
 

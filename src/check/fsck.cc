@@ -157,7 +157,7 @@ Status CheckColumnarProjection(Slice blob, const Snapshot& full) {
   SPATE_RETURN_IF_ERROR(DecodeColumnarLeaf(blob, cdr, nms,
                                            /*wanted_cells=*/nullptr,
                                            &projected,
-                                           /*bytes_decoded=*/nullptr));
+                                           /*tally=*/nullptr));
   const Snapshot expected = RestrictSnapshot(full, cdr, nms, nullptr);
   if (projected.epoch_start != expected.epoch_start ||
       projected.cdr != expected.cdr || projected.nms != expected.nms) {
@@ -262,7 +262,7 @@ check::FsckReport SpateFramework::Fsck() const {
             const TableProjection all;
             decode = DecodeColumnarLeaf(*blob, all, all,
                                         /*wanted_cells=*/nullptr, &snapshot,
-                                        /*bytes_decoded=*/nullptr);
+                                        /*tally=*/nullptr);
             if (decode.ok()) {
               have_snapshot = true;
               text = SerializeSnapshot(snapshot);

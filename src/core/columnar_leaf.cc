@@ -73,17 +73,19 @@ Status ParseWidthsRle(Slice* input, std::vector<uint32_t>* widths) {
 
 /// Decodes a chunk by name, accounting the decompressed bytes. This is the
 /// single per-chunk decode funnel, so the fragment cache plugs in here: a
-/// hit serves the plaintext without touching the codec (and without
-/// charging `*bytes_decoded` — the scope counts the avoided bytes instead),
-/// a miss decodes and admits the result under the chunk's name.
+/// hit serves the plaintext without touching the codec (and counts as a
+/// hit plus avoided bytes instead of decoded bytes), a miss decodes and
+/// admits the result under the chunk's name.
 Status DecodeChunk(const ColumnarReader& reader, std::string_view name,
-                   std::string* data, uint64_t* bytes_decoded,
-                   FragmentCacheScope* fragments = nullptr) {
+                   std::string* data, DecodeTally* tally,
+                   const FragmentCacheScope* fragments) {
   if (fragments != nullptr && fragments->cache != nullptr &&
       fragments->cache->Lookup(fragments->leaf_epoch, name,
                                fragments->generation, data)) {
-    ++fragments->hits;
-    fragments->bytes_saved += data->size();
+    if (tally != nullptr) {
+      ++tally->fragment_hits;
+      tally->bytes_decoded_saved += data->size();
+    }
     return Status::OK();
   }
   const ColumnarReader::ChunkRef* chunk = reader.Find(name);
@@ -92,29 +94,12 @@ Status DecodeChunk(const ColumnarReader& reader, std::string_view name,
                               std::string(name) + "'");
   }
   SPATE_RETURN_IF_ERROR(ColumnarReader::Decode(*chunk, data));
-  if (bytes_decoded != nullptr) *bytes_decoded += data->size();
+  if (tally != nullptr) tally->bytes_decoded += data->size();
   if (fragments != nullptr && fragments->cache != nullptr) {
     fragments->cache->Insert(fragments->leaf_epoch, name,
                              fragments->generation, *data);
   }
   return Status::OK();
-}
-
-/// Ascending row positions of `wanted_cells` within one table, from the
-/// leaf's embedded spatial index.
-std::vector<uint32_t> SelectedPositions(
-    const LeafSpatialIndex& index, bool cdr_table,
-    const std::unordered_set<std::string>& wanted_cells) {
-  std::vector<uint32_t> positions;
-  for (const std::string& cell_id : wanted_cells) {
-    const std::vector<uint32_t>* rows =
-        cdr_table ? index.CdrRows(cell_id) : index.NmsRows(cell_id);
-    if (rows != nullptr) {
-      positions.insert(positions.end(), rows->begin(), rows->end());
-    }
-  }
-  std::sort(positions.begin(), positions.end());
-  return positions;
 }
 
 /// Materializes one table: builds `count` rows at their original widths,
@@ -125,8 +110,8 @@ Status MaterializeTable(const ColumnarReader& reader,
                         const std::vector<uint32_t>& widths,
                         const TableProjection& projection,
                         const std::vector<uint32_t>* selected,
-                        std::vector<Record>* rows, uint64_t* bytes_decoded,
-                        FragmentCacheScope* fragments) {
+                        std::vector<Record>* rows, DecodeTally* tally,
+                        const FragmentCacheScope* fragments) {
   if (projection.skip) return Status::OK();
   const size_t n = widths.size();
   uint32_t max_width = 0;
@@ -161,8 +146,8 @@ Status MaterializeTable(const ColumnarReader& reader,
   for (const int column : columns) {
     data.clear();
     SPATE_RETURN_IF_ERROR(DecodeChunk(
-        reader, ColumnChunkName(schema, prefix, column), &data,
-        bytes_decoded, fragments));
+        reader, ColumnChunkName(schema, prefix, column), &data, tally,
+        fragments));
     // Walk the rows in order, consuming one '\n'-terminated value per row
     // wide enough to carry this column; copy it out for kept rows.
     const uint32_t c = static_cast<uint32_t>(column);
@@ -310,15 +295,14 @@ void ComputeColumnarLeafStats(const Snapshot& snapshot,
 Status DecodeColumnarLeaf(Slice blob, const TableProjection& cdr,
                           const TableProjection& nms,
                           const std::unordered_set<std::string>* wanted_cells,
-                          Snapshot* snapshot, uint64_t* bytes_decoded,
-                          FragmentCacheScope* fragments) {
+                          Snapshot* snapshot, DecodeTally* tally,
+                          const FragmentCacheScope* fragments) {
   ColumnarReader reader;
   SPATE_RETURN_IF_ERROR(ColumnarReader::Open(blob, &reader));
 
   std::string meta;
   SPATE_RETURN_IF_ERROR(
-      DecodeChunk(reader, kColumnarMetaChunk, &meta, bytes_decoded,
-                  fragments));
+      DecodeChunk(reader, kColumnarMetaChunk, &meta, tally, fragments));
   Slice input(meta);
   uint64_t epoch_zigzag = 0;
   if (!GetVarint64(&input, &epoch_zigzag)) {
@@ -340,7 +324,7 @@ Status DecodeColumnarLeaf(Slice blob, const TableProjection& cdr,
   if (wanted_cells != nullptr) {
     std::string serialized;
     SPATE_RETURN_IF_ERROR(DecodeChunk(reader, kColumnarSpatialChunk,
-                                      &serialized, bytes_decoded, fragments));
+                                      &serialized, tally, fragments));
     LeafSpatialIndex index;
     SPATE_RETURN_IF_ERROR(LeafSpatialIndex::Parse(serialized, &index));
     cdr_selected = SelectedPositions(index, /*cdr_table=*/true, *wanted_cells);
@@ -351,11 +335,11 @@ Status DecodeColumnarLeaf(Slice blob, const TableProjection& cdr,
   SPATE_RETURN_IF_ERROR(MaterializeTable(
       reader, CdrSchema(), 'c', cdr_widths, cdr,
       wanted_cells != nullptr ? &cdr_selected : nullptr, &snapshot->cdr,
-      bytes_decoded, fragments));
+      tally, fragments));
   SPATE_RETURN_IF_ERROR(MaterializeTable(
       reader, NmsSchema(), 'n', nms_widths, nms,
       wanted_cells != nullptr ? &nms_selected : nullptr, &snapshot->nms,
-      bytes_decoded, fragments));
+      tally, fragments));
   return Status::OK();
 }
 

@@ -82,21 +82,21 @@ void ComputeColumnarLeafStats(const Snapshot& snapshot, LeafDecodeStats* stats);
 /// With both projections `all` and no cell restriction the result is the
 /// original snapshot, bit for bit.
 ///
-/// `*bytes_decoded` (may be null) is incremented by the number of
-/// decompressed bytes actually produced — the projection-pushdown metric
-/// surfaced in `ScanStats::bytes_decoded`.
+/// `tally` (may be null) counts the decode work: decompressed bytes
+/// actually produced (the projection-pushdown metric surfaced in
+/// `ScanStats::bytes_decoded`), fragment-cache hits and the bytes they
+/// avoided.
 ///
 /// `fragments` (may be null) consults/feeds a decoded-fragment cache at the
 /// per-chunk decode funnel: a cached chunk is served without touching the
-/// codec and adds nothing to `*bytes_decoded` (the scope counts the hit and
-/// the avoided bytes instead); a freshly decoded chunk is admitted under
-/// its chunk name. Caching never changes the produced snapshot — only
-/// where the plaintext came from.
+/// codec and counts as a hit instead of decoded bytes; a freshly decoded
+/// chunk is admitted under its chunk name. Caching never changes the
+/// produced snapshot — only where the plaintext came from.
 Status DecodeColumnarLeaf(Slice blob, const TableProjection& cdr,
                           const TableProjection& nms,
                           const std::unordered_set<std::string>* wanted_cells,
-                          Snapshot* snapshot, uint64_t* bytes_decoded,
-                          FragmentCacheScope* fragments = nullptr);
+                          Snapshot* snapshot, DecodeTally* tally,
+                          const FragmentCacheScope* fragments = nullptr);
 
 }  // namespace spate
 

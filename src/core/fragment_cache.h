@@ -132,19 +132,17 @@ class FragmentCache {
   FragmentCacheStats stats_ GUARDED_BY(mu_);
 };
 
-/// Per-scan view of a `FragmentCache` that the decode helpers thread down
+/// Per-leaf view of a `FragmentCache` that the decode helpers thread down
 /// to the single per-chunk decode funnel (`DecodeChunk` in
 /// core/columnar_leaf.cc and the row-text materialization in
-/// core/spate_framework.cc): the cache handle, the leaf/generation to key
-/// under, and hit counters the scan folds into its `ScanStats`. A null
+/// core/spate_framework.cc): the cache handle and the leaf/generation to
+/// key under. Hits are counted in the caller's `DecodeTally`. A null
 /// `cache` (the default everywhere) disables caching with zero behavior
-/// change. Not thread-safe — one scope per (worker, leaf).
+/// change.
 struct FragmentCacheScope {
   FragmentCache* cache = nullptr;
   Timestamp leaf_epoch = 0;
   uint64_t generation = 0;
-  uint64_t hits = 0;
-  uint64_t bytes_saved = 0;
 };
 
 }  // namespace spate

@@ -83,6 +83,20 @@ struct ScanStats {
   bool complete() const { return skipped_epochs.empty(); }
 };
 
+/// Decode work of one leaf: the three `ScanStats` decode counters, counted
+/// by the decode funnel and added into the scan's stats once per fold.
+struct DecodeTally {
+  uint64_t bytes_decoded = 0;
+  uint64_t fragment_hits = 0;
+  uint64_t bytes_decoded_saved = 0;
+
+  void AddTo(ScanStats* stats) const {
+    stats->bytes_decoded += bytes_decoded;
+    stats->fragment_hits += fragment_hits;
+    stats->bytes_decoded_saved += bytes_decoded_saved;
+  }
+};
+
 /// Per-call scan state, owned by the caller and passed with one scan or
 /// `Execute` call: the cancellation token in, that call's `ScanStats` out.
 /// Nothing about one call is left on the framework, so a scheduler can read
@@ -123,9 +137,6 @@ struct PlannerStatistics {
   /// Every in-window leaf is still at full resolution — exact row answers
   /// are possible and summary answering matches them.
   bool window_fully_resolved = false;
-  /// The framework's projected scan skips leaves provably disjoint from the
-  /// query box (`SpateOptions::spatial_leaf_skip`).
-  bool spatial_leaf_skip = false;
   /// Non-decayed leaves intersecting the window, in time order.
   std::vector<PlannerLeafInfo> leaves;
 };

@@ -24,6 +24,10 @@ bool DegradableFailure(const Status& status) {
          status.IsNotFound();
 }
 
+/// Leaves a scan needs before its decode fans out on the pool: on fewer,
+/// the fan-out overhead beats the win.
+constexpr size_t kMinParallelLeaves = 4;
+
 /// True when the leaf can hold rows of at least one wanted cell. The leaf
 /// summary carries a per-cell entry for every cell id appearing in the
 /// leaf's rows, so a negative answer is exact — skipping the leaf loses
@@ -37,6 +41,25 @@ bool LeafIntersectsCells(const LeafNode& leaf,
     if (wanted.count(cell_id) != 0) return true;
   }
   return false;
+}
+
+/// Appends the rows at `positions` (ascending), projected: the sidecar
+/// counterpart of `RestrictSnapshot`'s row-by-row cell filter, so both
+/// keep the same rows in the same order.
+Status TakeRows(const std::vector<Record>& rows,
+                const std::vector<uint32_t>& positions,
+                const TableProjection& projection, std::vector<Record>* out) {
+  if (projection.skip) return Status::OK();
+  out->reserve(positions.size());
+  for (uint32_t position : positions) {
+    if (position >= rows.size()) {
+      return Status::Corruption("leaf spatial sidecar names row " +
+                                std::to_string(position) + " of a " +
+                                std::to_string(rows.size()) + "-row table");
+    }
+    out->push_back(ProjectRecord(rows[position], projection));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -90,6 +113,10 @@ std::string SpateFramework::LeafPath(Timestamp epoch_start) {
   // /spate/data/YYYY/MM/DD/YYYYMMDDhhmm
   return "/spate/data/" + key.substr(0, 4) + "/" + key.substr(4, 2) + "/" +
          key.substr(6, 2) + "/" + key;
+}
+
+std::string SpateFramework::SidecarPath(Timestamp epoch_start) {
+  return "/spate/spidx/" + FormatCompact(epoch_start);
 }
 
 Result<std::unique_ptr<SpateFramework>> SpateFramework::Recover(
@@ -200,7 +227,7 @@ Result<std::unique_ptr<SpateFramework>> SpateFramework::Recover(
         // so a delta following it in a mixed store still finds chain text.
         const TableProjection all;
         status = DecodeColumnarLeaf(blob, all, all, /*wanted_cells=*/nullptr,
-                                    &snapshot, /*bytes_decoded=*/nullptr);
+                                    &snapshot, /*tally=*/nullptr);
         if (status.ok()) {
           have_snapshot = true;
           text = SerializeSnapshot(snapshot);
@@ -331,13 +358,15 @@ Status SpateFramework::Ingest(const Snapshot& snapshot) {
   const std::string path =
       LeafPath(snapshot.epoch_start) + (delta ? ".d" : "");
   SPATE_RETURN_IF_ERROR(dfs_->WriteFile(path, compressed));
-  // Optional per-leaf spatial sidecar.
-  if (options_.leaf_spatial_index) {
-    std::string sidecar;
+  // Optional per-leaf spatial sidecar, for row leaves only: columnar
+  // leaves embed the same index as their "@spidx" chunk.
+  const bool sidecar = options_.leaf_spatial_index && !columnar;
+  if (sidecar) {
+    std::string blob;
     SPATE_RETURN_IF_ERROR(codec_->Compress(
-        LeafSpatialIndex::Build(snapshot).Serialize(), &sidecar));
-    SPATE_RETURN_IF_ERROR(dfs_->WriteFile(
-        "/spate/spidx/" + FormatCompact(snapshot.epoch_start), sidecar));
+        LeafSpatialIndex::Build(snapshot).Serialize(), &blob));
+    SPATE_RETURN_IF_ERROR(
+        dfs_->WriteFile(SidecarPath(snapshot.epoch_start), blob));
   }
   last_ingest_.store_seconds =
       dfs_->stats().simulated_write_seconds - io_before;
@@ -355,8 +384,7 @@ Status SpateFramework::Ingest(const Snapshot& snapshot) {
 
   // Day rollover: persist the completed day's summary (the index bytes S_i).
   const Timestamp day = TruncateToDay(snapshot.epoch_start);
-  if (options_.persist_summaries && last_day_persisted_ >= 0 &&
-      day != last_day_persisted_) {
+  if (last_day_persisted_ >= 0 && day != last_day_persisted_) {
     const CoveringNode covering =
         index_.FindCovering(last_day_persisted_, last_day_persisted_ + 86400);
     if (covering.level == IndexLevel::kDay && covering.summary != nullptr) {
@@ -381,10 +409,7 @@ Status SpateFramework::Ingest(const Snapshot& snapshot) {
     // is best-effort: a failed delete leaves a harmless orphan, never an
     // index entry without bytes.
     (void)dfs_->DeleteFile(path);
-    if (options_.leaf_spatial_index) {
-      (void)dfs_->DeleteFile("/spate/spidx/" +
-                             FormatCompact(snapshot.epoch_start));
-    }
+    if (sidecar) (void)dfs_->DeleteFile(SidecarPath(snapshot.epoch_start));
     return add;
   }
 
@@ -424,8 +449,8 @@ Result<std::string> SpateFramework::MaterializeLeafWith(
     std::string cached;
     if (ctx->fragment_cache->Lookup(leaf.epoch_start, kRowFragmentName,
                                     ctx->fragment_generation, &cached)) {
-      ++ctx->fragment_hits;
-      ctx->fragment_bytes_saved += cached.size();
+      ++ctx->tally.fragment_hits;
+      ctx->tally.bytes_decoded_saved += cached.size();
       if (options_.differential || leaf.delta) {
         ctx->cache_epoch = leaf.epoch_start;
         ctx->cache_text = cached;
@@ -440,26 +465,23 @@ Result<std::string> SpateFramework::MaterializeLeafWith(
     return text;
   }
   if (!leaf.delta && IsColumnarBlob(blob)) {
-    // Columnar leaf: a full materialization reassembles every column and
-    // re-serializes to row text, so the delta-chain and parse paths above
-    // this call work unchanged on mixed stores.
+    // The columnar predecessor of a delta (mixed store): reassemble every
+    // column and re-serialize to the row text the delta decodes against.
     Snapshot decoded;
     const TableProjection all;
-    FragmentCacheScope fragments{ctx->fragment_cache, leaf.epoch_start,
-                                 ctx->fragment_generation, 0, 0};
+    const FragmentCacheScope fragments{ctx->fragment_cache, leaf.epoch_start,
+                                       ctx->fragment_generation};
     SPATE_RETURN_IF_ERROR(DecodeColumnarLeaf(blob, all, all,
                                              /*wanted_cells=*/nullptr,
-                                             &decoded, &ctx->bytes_decoded,
+                                             &decoded, &ctx->tally,
                                              &fragments));
-    ctx->fragment_hits += fragments.hits;
-    ctx->fragment_bytes_saved += fragments.bytes_saved;
     text = SerializeSnapshot(decoded);
   } else if (!leaf.delta) {
     // Plain (possibly chunked) blob; chunk parts may decode on the pool,
     // unless this context belongs to a scan worker that is itself one arm
     // of a fan-out (then decode_pool is null — no nested fan-out).
     SPATE_RETURN_IF_ERROR(ChunkedDecompress(blob, ctx->decode_pool, &text));
-    ctx->bytes_decoded += text.size();
+    ctx->tally.bytes_decoded += text.size();
   } else {
     // Resolve the chain: the delta decodes against the previous epoch's
     // text (cached when scanning sequentially; otherwise at most
@@ -474,7 +496,7 @@ Result<std::string> SpateFramework::MaterializeLeafWith(
                            MaterializeLeafWith(*prev, ctx));
     SPATE_RETURN_IF_ERROR(
         codec_->DecompressWithDictionary(prev_text, blob, &text));
-    ctx->bytes_decoded += text.size();
+    ctx->tally.bytes_decoded += text.size();
   }
   // Admit the materialized row text (not the columnar re-serialization —
   // columnar leaves already cached per chunk above, and caching both would
@@ -499,34 +521,58 @@ Status SpateFramework::DecodeLeafWith(const LeafNode& leaf,
                                       const LeafScanOptions& opts,
                                       DecodeContext* ctx,
                                       Snapshot* snapshot) const {
-  // A restricted scan takes a columnar keyframe's blob back undecoded —
-  // unless the leaf is already resident as row text (one-entry cache or
-  // "@row" fragment) — and decodes only what the options call for.
+  // A columnar keyframe comes back as its blob, undecoded, unless it is
+  // already resident as row text in the one-entry cache.
   std::string columnar_blob;
-  SPATE_ASSIGN_OR_RETURN(
-      std::string text,
-      MaterializeLeafWith(leaf, ctx,
-                          opts.restricted() ? &columnar_blob : nullptr));
+  SPATE_ASSIGN_OR_RETURN(std::string text,
+                         MaterializeLeafWith(leaf, ctx, &columnar_blob));
   if (!columnar_blob.empty()) {
     // The pushdown proper: decode only the column chunks the projections
     // call for, and with a cell restriction only the matching rows. The
     // fragment scope serves/admits individual chunk plaintexts.
-    FragmentCacheScope fragments{ctx->fragment_cache, leaf.epoch_start,
-                                 ctx->fragment_generation, 0, 0};
-    const Status status = DecodeColumnarLeaf(
-        columnar_blob, opts.cdr, opts.nms, opts.wanted_cells, snapshot,
-        &ctx->bytes_decoded, &fragments);
-    ctx->fragment_hits += fragments.hits;
-    ctx->fragment_bytes_saved += fragments.bytes_saved;
-    return status;
+    const FragmentCacheScope fragments{ctx->fragment_cache, leaf.epoch_start,
+                                       ctx->fragment_generation};
+    SPATE_RETURN_IF_ERROR(DecodeColumnarLeaf(columnar_blob, opts.cdr,
+                                             opts.nms, opts.wanted_cells,
+                                             snapshot, &ctx->tally,
+                                             &fragments));
+    if (options_.differential && !opts.restricted()) {
+      // Chain state: a delta written after this leaf (a store recovered
+      // and continued in row mode) resolves against its text.
+      ctx->cache_epoch = leaf.epoch_start;
+      ctx->cache_text = SerializeSnapshot(*snapshot);
+    }
+    return Status::OK();
   }
   if (!opts.restricted()) return ParseSnapshot(text, snapshot);
   // Full row text (row and delta leaves, cache hits): restrict in memory
-  // via the reference semantics the columnar reader is byte-identical to.
+  // to the reference semantics the columnar reader is byte-identical to.
   Snapshot full;
   SPATE_RETURN_IF_ERROR(ParseSnapshot(text, &full));
-  *snapshot = RestrictSnapshot(full, opts.cdr, opts.nms, opts.wanted_cells);
-  return Status::OK();
+  if (opts.wanted_cells == nullptr || !options_.leaf_spatial_index ||
+      leaf.decode_stats.columnar) {
+    *snapshot = RestrictSnapshot(full, opts.cdr, opts.nms, opts.wanted_cells);
+    return Status::OK();
+  }
+  // Row-store sidecar: the leaf's spatial index lists the wanted cells'
+  // rows, so the restriction keeps them without testing each row's cell
+  // id. The sidecar's bytes stay out of the decode tally: the planner
+  // prices a row leaf at its text alone.
+  SPATE_ASSIGN_OR_RETURN(std::string blob,
+                         dfs_->ReadFile(SidecarPath(leaf.epoch_start)));
+  std::string serialized;
+  SPATE_RETURN_IF_ERROR(ChunkedDecompress(blob, nullptr, &serialized));
+  LeafSpatialIndex sidecar;
+  SPATE_RETURN_IF_ERROR(LeafSpatialIndex::Parse(serialized, &sidecar));
+  snapshot->epoch_start = full.epoch_start;
+  SPATE_RETURN_IF_ERROR(TakeRows(
+      full.cdr, SelectedPositions(sidecar, /*cdr_table=*/true,
+                                  *opts.wanted_cells),
+      opts.cdr, &snapshot->cdr));
+  return TakeRows(
+      full.nms, SelectedPositions(sidecar, /*cdr_table=*/false,
+                                  *opts.wanted_cells),
+      opts.nms, &snapshot->nms);
 }
 
 size_t SpateFramework::RunDecay(Timestamp now) {
@@ -544,9 +590,8 @@ size_t SpateFramework::RunDecay(const DecayPolicy& policy, Timestamp now) {
       [this](const LeafNode& leaf) {
         // Decay deletions are idempotent; an already-absent file is fine.
         (void)dfs_->DeleteFile(leaf.dfs_path);
-        if (options_.leaf_spatial_index) {
-          (void)dfs_->DeleteFile("/spate/spidx/" +
-                                 FormatCompact(leaf.epoch_start));
+        if (options_.leaf_spatial_index && !leaf.decode_stats.columnar) {
+          (void)dfs_->DeleteFile(SidecarPath(leaf.epoch_start));
         }
       },
       [this](const DayNode& day) {
@@ -594,29 +639,18 @@ Result<QueryResult> SpateFramework::Execute(const ExplorationQuery& query,
     // Decayed window: serve from the smallest covering node's highlights.
     return AssembleAnswer(query, /*scanned=*/false, {}, {});
   }
-  // Exact path: decompress the covered leaves and filter.
+  // Exact path: the projected scan decodes only what the query needs
+  // (column chunks, spatial index rows) and skips box-disjoint leaves; the
+  // streamed snapshots are already restricted, and FilterSnapshotRows
+  // composes with that restriction to the same bytes a full decode gives.
   QueryResult rows;
-  Status scan;
-  if (options_.leaf_spatial_index && query.has_box &&
-      options_.leaf_layout == LeafLayout::kRow) {
-    // Row-store sidecar path. On columnar stores the embedded "@spidx"
-    // chunk supersedes the sidecar, so the projected scan wins below.
-    scan = ExecuteExactWithLeafIndex(query, &rows, ctx);
-  } else {
-    // Projected scan: columnar leaves decode only the needed column
-    // chunks / rows and box-disjoint leaves are skipped outright; the
-    // streamed snapshots are already restricted, and FilterSnapshotRows
-    // composes with that restriction to the same bytes the full-decode
-    // path produces.
-    scan = ScanWindowProjected(
-        query,
-        [&](const Snapshot& snapshot) {
-          FilterSnapshotRows(snapshot, query, cells_, &rows.cdr_rows,
-                             &rows.nms_rows);
-        },
-        ctx);
-  }
-  if (!scan.ok()) return scan;
+  SPATE_RETURN_IF_ERROR(ScanWindowProjected(
+      query,
+      [&](const Snapshot& snapshot) {
+        FilterSnapshotRows(snapshot, query, cells_, &rows.cdr_rows,
+                           &rows.nms_rows);
+      },
+      ctx));
   return AssembleAnswer(query, /*scanned=*/true, std::move(rows),
                         ctx->stats.skipped_epochs);
 }
@@ -650,56 +684,6 @@ QueryResult SpateFramework::AssembleAnswer(
   return result;
 }
 
-Status SpateFramework::ExecuteExactWithLeafIndex(
-    const ExplorationQuery& query, QueryResult* result, ScanContext* ctx) {
-  // Resolve the box to cell ids once, then use each leaf's sidecar to jump
-  // straight to the matching rows. The leaf blob and its sidecar must both
-  // be readable; degraded mode skips the epoch (recorded) when either has
-  // lost every replica.
-  const std::vector<std::string> in_box = cells_.CellsInBox(query.box);
-  // The sidecar's row positions index the full snapshot, so the leaves
-  // materialize unrestricted; projection applies to the result rows only.
-  const TableProjection cdr_projection =
-      ResolveProjection(CdrSchema(), query.attributes);
-  const TableProjection nms_projection =
-      ResolveProjection(NmsSchema(), query.attributes);
-  return ScanLeaves(
-      index_.LeavesInWindow(query.window_begin, query.window_end),
-      LeafScanOptions{},
-      [&](const LeafNode& leaf, const Snapshot& snapshot) -> Status {
-        SPATE_ASSIGN_OR_RETURN(
-            std::string sidecar_blob,
-            dfs_->ReadFile("/spate/spidx/" + FormatCompact(leaf.epoch_start)));
-        std::string serialized;
-        SPATE_RETURN_IF_ERROR(
-            ChunkedDecompress(sidecar_blob, nullptr, &serialized));
-        LeafSpatialIndex sidecar;
-        SPATE_RETURN_IF_ERROR(LeafSpatialIndex::Parse(serialized, &sidecar));
-
-        auto take = [&](const std::vector<Record>& rows,
-                        const std::vector<uint32_t>* positions, int ts_column,
-                        const TableProjection& projection,
-                        std::vector<Record>* out) {
-          if (positions == nullptr || projection.skip) return;
-          for (uint32_t row : *positions) {
-            if (row >= rows.size()) continue;
-            const Timestamp ts =
-                ParseCompact(FieldAsString(rows[row], ts_column));
-            if (ts < query.window_begin || ts >= query.window_end) continue;
-            out->push_back(ProjectRecord(rows[row], projection));
-          }
-        };
-        for (const std::string& cell_id : in_box) {
-          take(snapshot.cdr, sidecar.CdrRows(cell_id), kCdrTs, cdr_projection,
-               &result->cdr_rows);
-          take(snapshot.nms, sidecar.NmsRows(cell_id), kNmsTs, nms_projection,
-               &result->nms_rows);
-        }
-        return Status::OK();
-      },
-      ctx);
-}
-
 Status SpateFramework::ScanLeaves(
     std::vector<const LeafNode*> scan_leaves,
     const LeafScanOptions& opts,
@@ -711,7 +695,7 @@ Status SpateFramework::ScanLeaves(
   // from the wanted cells before any DFS read or decompression. The filter
   // runs up front on the calling thread, so the surviving scan — batching,
   // fold order, stats — is identical at every worker count.
-  if (opts.skip_leaves && opts.wanted_cells != nullptr) {
+  if (opts.wanted_cells != nullptr) {
     stats.leaves_skipped_spatial +=
         std::erase_if(scan_leaves, [&](const LeafNode* leaf) {
           return !LeafIntersectsCells(*leaf, *opts.wanted_cells);
@@ -761,9 +745,7 @@ Status SpateFramework::ScanLeaves(
   serial.fragment_generation =
       fragment_cache_ != nullptr ? fragment_cache_->generation() : 0;
   const bool parallel =
-      pool_ != nullptr &&
-      scan_leaves.size() >= static_cast<size_t>(std::max(
-                                2, options_.parallelism.min_parallel_epochs));
+      pool_ != nullptr && scan_leaves.size() >= kMinParallelLeaves;
   if (!parallel) serial.decode_pool = pool_.get();
   const size_t batch =
       parallel ? static_cast<size_t>(options_.parallelism.worker_count) * 4
@@ -771,16 +753,9 @@ Status SpateFramework::ScanLeaves(
   struct Slot {
     Status status;
     Snapshot snapshot;
-    uint64_t bytes = 0;
-    uint64_t fragment_hits = 0;
-    uint64_t fragment_saved = 0;
+    DecodeTally tally;
   };
   for (size_t base = 0; base < scan_leaves.size(); base += batch) {
-    // Cancellation check between batches on the calling thread; decodes
-    // also poll per leaf, so a mid-batch expiry stops further decodes and
-    // surfaces through the fold as kDeadlineExceeded — not a degradable
-    // failure, so the scan aborts instead of marking the rest skipped.
-    if (cancel != nullptr) SPATE_RETURN_IF_ERROR(cancel->Check());
     const size_t count = std::min(batch, scan_leaves.size() - base);
     std::vector<Slot> slots(count);
     auto decode = [&](size_t begin, size_t end, DecodeContext* dctx) {
@@ -789,13 +764,10 @@ Status SpateFramework::ScanLeaves(
           slots[i].status = cancel->Check();
           if (!slots[i].status.ok()) continue;  // skip decode, fold aborts
         }
-        dctx->bytes_decoded = dctx->fragment_hits = 0;
-        dctx->fragment_bytes_saved = 0;
+        dctx->tally = {};
         slots[i].status = DecodeLeafWith(*scan_leaves[base + i], opts, dctx,
                                          &slots[i].snapshot);
-        slots[i].bytes = dctx->bytes_decoded;
-        slots[i].fragment_hits = dctx->fragment_hits;
-        slots[i].fragment_saved = dctx->fragment_bytes_saved;
+        slots[i].tally = dctx->tally;
       }
     };
     if (parallel) {
@@ -807,9 +779,13 @@ Status SpateFramework::ScanLeaves(
       decode(0, count, &serial);
     }
     for (size_t i = 0; i < count; ++i) {
-      stats.bytes_decoded += slots[i].bytes;
-      stats.fragment_hits += slots[i].fragment_hits;
-      stats.bytes_decoded_saved += slots[i].fragment_saved;
+      // Cancellation check before every fold, on the calling thread: a
+      // token cancelled mid-batch (by `fn` itself, or by a scheduler
+      // abandoning its pass) stops the scan before another leaf reaches
+      // `fn`. kDeadlineExceeded is not a degradable failure, so the scan
+      // aborts instead of marking the rest skipped.
+      if (cancel != nullptr) SPATE_RETURN_IF_ERROR(cancel->Check());
+      slots[i].tally.AddTo(&stats);
       SPATE_RETURN_IF_ERROR(
           fold(*scan_leaves[base + i], slots[i].status, slots[i].snapshot));
     }
@@ -843,7 +819,6 @@ Status SpateFramework::ScanWindowProjected(
     const std::vector<std::string> in_box = cells_.CellsInBox(query.box);
     wanted.insert(in_box.begin(), in_box.end());
     opts.wanted_cells = &wanted;
-    opts.skip_leaves = options_.spatial_leaf_skip;
   }
   // Context-free callers get a fresh context, published to `last_scan_`.
   ScanContext own;
@@ -871,7 +846,6 @@ PlannerStatistics SpateFramework::CollectPlannerStatistics(
   if (SPATE_FAILPOINT_HIT("sql.collect_statistics")) return stats;
   stats.available = true;
   stats.window_fully_resolved = index_.WindowFullyResolved(begin, end);
-  stats.spatial_leaf_skip = options_.spatial_leaf_skip;
   const std::vector<const LeafNode*> leaves =
       index_.LeavesInWindow(begin, end);
   stats.leaves.reserve(leaves.size());

@@ -27,9 +27,6 @@ struct ParallelismOptions {
   /// whole pipeline on the calling thread — no pool is created and every
   /// code path executes exactly as the pre-parallel framework did.
   int worker_count = 1;
-  /// Minimum in-window leaves before a scan fans out; shorter windows stay
-  /// serial (fan-out overhead beats the win on a couple of leaves).
-  int min_parallel_epochs = 4;
   /// Serialized-text bytes per independent ingest compression job. The
   /// partition of a snapshot into jobs is a pure function of its text and
   /// this knob — never of `worker_count` — so stored leaf bytes and CRCs
@@ -58,8 +55,6 @@ struct SpateOptions {
   DecayPolicy decay;
   /// Run the decaying module after every ingest (stream-time driven).
   bool auto_decay = true;
-  /// Persist day-node summaries to the DFS (the index share S_i of S').
-  bool persist_summaries = true;
   /// Highlight frequency thresholds theta per resolution level
   /// (Section V-B: lower thresholds for higher resolution levels).
   double theta_day = 0.05;
@@ -81,20 +76,13 @@ struct SpateOptions {
   /// keyframes: `differential` deltas apply only to row-layout leaves.
   LeafLayout leaf_layout = LeafLayout::kRow;
 
-  /// Whole-leaf spatial skipping: a bounding-box scan consults each leaf's
-  /// in-memory summary cell-id set (exact: the summary carries an entry for
-  /// every cell appearing in the leaf's rows) and skips leaves proven
-  /// disjoint from the box before any DFS read or decompression. Applies
-  /// to both leaf layouts; `ScanStats::leaves_skipped_spatial` counts the
-  /// wins.
-  bool spatial_leaf_skip = true;
-
   /// Optional per-leaf spatial index (Section V-A's discussed-and-rejected
-  /// design): writes a per-snapshot cell->rows sidecar so bounding-box
-  /// queries skip non-matching rows, at the price of extra storage.
-  /// Superseded by the embedded "@spidx" chunk when `leaf_layout` is
-  /// `kColumnar` (the exact-query sidecar path only engages on row
-  /// stores).
+  /// design): every row-layout leaf gets a compressed cell->rows sidecar
+  /// (/spate/spidx/<epoch>), and a bounding-box decode of that leaf keeps
+  /// the rows the sidecar lists instead of testing each row's cell id —
+  /// the same rows in the same order, at the price of extra storage.
+  /// Columnar leaves embed the same index as their "@spidx" chunk and get
+  /// no sidecar.
   bool leaf_spatial_index = false;
 
   /// Degraded reads: when a leaf's every replica is unreadable (datanodes
@@ -204,10 +192,11 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   /// chunks covering the query's attributes (plus ts/cell id for the
   /// predicates) and, with a box, materialize only the matching rows via
   /// the embedded row-position lists; row leaves decode fully and restrict
-  /// in memory. Either way the streamed snapshots are byte-identical to
-  /// the default implementation's, except that leaves proven disjoint from
-  /// the box are skipped outright (`fn` not called;
-  /// `ScanStats::leaves_skipped_spatial` counts them).
+  /// in memory (through their spatial sidecars, when the store writes
+  /// them). Either way the streamed snapshots are byte-identical to the
+  /// default implementation's, except that leaves whose summary cell-id set
+  /// proves them disjoint from the box are skipped before any DFS read
+  /// (`fn` not called; `ScanStats::leaves_skipped_spatial` counts them).
   Status ScanWindowProjected(const ExplorationQuery& query,
                              const std::function<void(const Snapshot&)>& fn,
                              ScanContext* ctx = nullptr) override;
@@ -282,6 +271,8 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
  private:
   /// DFS path of the raw (compressed) snapshot for an epoch.
   static std::string LeafPath(Timestamp epoch_start);
+  /// DFS path of a row leaf's spatial sidecar (`leaf_spatial_index`).
+  static std::string SidecarPath(Timestamp epoch_start);
 
   /// Leaf-decode state of one scan call (or of one worker's share of a
   /// parallel batch): a one-entry materialization cache (so a sequential run
@@ -294,32 +285,25 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
     Timestamp cache_epoch = -1;
     std::string cache_text;
     ThreadPool* decode_pool = nullptr;
-    /// Decompressed bytes produced since the scan last zeroed the counters
-    /// (it does before every leaf; cache hits add nothing), folded into
-    /// `ScanStats::bytes_decoded` in leaf order.
-    uint64_t bytes_decoded = 0;
     /// Fragment cache handle + the store generation captured at scan start
     /// (no mutator runs during a scan, so it is stable); null/0 disables.
     FragmentCache* fragment_cache = nullptr;
     uint64_t fragment_generation = 0;
-    /// Fragment-cache wins, counted and folded the same way into
-    /// `ScanStats::fragment_hits`/`bytes_decoded_saved`.
-    uint64_t fragment_hits = 0;
-    uint64_t fragment_bytes_saved = 0;
+    /// Decode work since the scan last reset it (it does before every
+    /// leaf), added into `ScanStats` when that leaf folds.
+    DecodeTally tally;
   };
 
   /// What a scan materializes per leaf: the per-table column projections
-  /// (scan-level, i.e. always including ts and cell id), an optional cell
-  /// restriction, and whether whole leaves may be skipped on their
-  /// summary's cell-id set. The default decodes everything — bit-identical
-  /// to the pre-columnar scan path.
+  /// (scan-level, i.e. always including ts and cell id) and an optional
+  /// cell restriction. The default decodes everything — bit-identical to
+  /// the pre-columnar scan path.
   struct LeafScanOptions {
     TableProjection cdr;
     TableProjection nms;
-    /// When non-null, only rows of these cells are materialized.
+    /// When non-null, only rows of these cells are materialized, and
+    /// leaves whose summary shares no cell with them are skipped.
     const std::unordered_set<std::string>* wanted_cells = nullptr;
-    /// Skip leaves whose summary shares no cell with `wanted_cells`.
-    bool skip_leaves = false;
 
     bool restricted() const {
       return !cdr.all || !nms.all || wanted_cells != nullptr;
@@ -327,11 +311,12 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   };
 
   /// Reads + decodes the raw text of one leaf into `ctx`'s cache, resolving
-  /// delta chains back to their keyframe (columnar blobs decode fully and
-  /// re-serialize, so a delta can chain off a columnar predecessor in a
-  /// mixed store). With `columnar_blob`, a columnar keyframe that is not
-  /// resident as row text is not materialized: its blob is handed back
-  /// there (and the text left empty) for the caller's projected decode.
+  /// delta chains back to their keyframe. With `columnar_blob` (the scan's
+  /// own leaf), a columnar keyframe that is not resident as row text is not
+  /// materialized: its blob is handed back there (and the text left empty)
+  /// for the caller's decode. Without it (a delta's predecessor) a columnar
+  /// blob decodes fully and re-serializes, so a delta can chain off a
+  /// columnar predecessor in a mixed store.
   /// Touches no framework state except `ctx`, the (thread-safe) DFS and the
   /// const index/codec — the parallel scan path calls it concurrently with
   /// per-worker contexts.
@@ -340,20 +325,22 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
       std::string* columnar_blob = nullptr) const;
 
   /// Decodes one leaf into a (possibly projected/restricted) snapshot per
-  /// `opts`. Columnar blobs under a restriction decode exactly the chunks
-  /// the options call for; everything else materializes its full text via
-  /// `MaterializeLeafWith` and restricts in memory.
+  /// `opts`. Columnar blobs decode exactly the chunks the options call for;
+  /// everything else materializes its full text via `MaterializeLeafWith`
+  /// and restricts in memory — through the leaf's spatial sidecar when a
+  /// cell restriction meets a row leaf of a `leaf_spatial_index` store.
+  /// Either way the snapshot equals `RestrictSnapshot` of the full leaf.
   Status DecodeLeafWith(const LeafNode& leaf, const LeafScanOptions& opts,
                         DecodeContext* ctx, Snapshot* snapshot) const;
 
   /// Decodes every leaf in `scan_leaves` per `opts` (minus the leaves a
-  /// box proves disjoint, when `opts.skip_leaves`) and hands (leaf,
-  /// snapshot) pairs to `fn` on the calling thread, in timestamp order,
-  /// polling `ctx->cancel` between decodes. Fans the decode out on the pool
-  /// when it exists and the window spans at least `min_parallel_epochs`
-  /// leaves; decode failures and degradable `fn` statuses feed `ctx->stats`
-  /// via per-leaf counters folded in leaf order. `fn` returning a degradable
-  /// status skips that epoch.
+  /// cell restriction proves disjoint) and hands (leaf, snapshot) pairs to
+  /// `fn` on the calling thread, in timestamp order, polling `ctx->cancel`
+  /// before each decode and each fold. Fans the decode out on the pool
+  /// when it exists and the window spans at least four leaves; decode
+  /// failures and degradable `fn` statuses feed `ctx->stats` via per-leaf
+  /// tallies folded in leaf order. `fn` returning a degradable status skips
+  /// that epoch.
   Status ScanLeaves(
       std::vector<const LeafNode*> scan_leaves,
       const LeafScanOptions& opts,
@@ -362,10 +349,6 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
 
   /// True if the snapshot at `epoch_start` starts a keyframe group.
   bool IsKeyframe(Timestamp epoch_start) const;
-
-  /// Exact-path evaluation using the per-leaf spatial sidecars.
-  Status ExecuteExactWithLeafIndex(const ExplorationQuery& query,
-                                   QueryResult* result, ScanContext* ctx);
 
   /// Shared construction guts for the public ctor and `Recover`.
   SpateFramework(SpateOptions options,

@@ -1,5 +1,7 @@
 #include "index/leaf_spatial.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 #include "telco/schema.h"
 
@@ -92,6 +94,21 @@ Status LeafSpatialIndex::Parse(Slice data, LeafSpatialIndex* index) {
     return Status::Corruption("leaf spatial index: trailing bytes");
   }
   return Status::OK();
+}
+
+std::vector<uint32_t> SelectedPositions(
+    const LeafSpatialIndex& index, bool cdr_table,
+    const std::unordered_set<std::string>& wanted_cells) {
+  std::vector<uint32_t> positions;
+  for (const std::string& cell_id : wanted_cells) {
+    const std::vector<uint32_t>* rows =
+        cdr_table ? index.CdrRows(cell_id) : index.NmsRows(cell_id);
+    if (rows != nullptr) {
+      positions.insert(positions.end(), rows->begin(), rows->end());
+    }
+  }
+  std::sort(positions.begin(), positions.end());
+  return positions;
 }
 
 }  // namespace spate

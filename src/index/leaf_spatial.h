@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/slice.h"
@@ -12,17 +13,19 @@
 
 namespace spate {
 
-/// Optional per-leaf spatial index (Section V-A): maps each cell id to the
-/// row positions it occupies inside one snapshot, so a bounding-box query
-/// can jump straight to the matching rows after decompression instead of
-/// filtering every row.
+/// Per-leaf spatial index (Section V-A): maps each cell id to the row
+/// positions it occupies inside one snapshot, so a bounding-box read keeps
+/// exactly the matching rows without testing every row's cell id.
 ///
-/// The paper considers embedding such an index in every leaf and decides
-/// against it ("snapshots are usually not very large, thus an additional
-/// index would only provide modest additional query response time benefits
-/// at the price of additional storage space"); SPATE exposes it behind
-/// `SpateOptions::leaf_spatial_index` and `bench_ablation_leaf_spatial`
-/// reproduces that trade-off.
+/// Two layouts carry it: every columnar leaf embeds one as its "@spidx"
+/// chunk, and row-layout leaves get one as a compressed DFS sidecar
+/// (/spate/spidx/<epoch>) when `SpateOptions::leaf_spatial_index` is on.
+/// The paper considers such an index and decides against it ("snapshots
+/// are usually not very large, thus an additional index would only provide
+/// modest additional query response time benefits at the price of
+/// additional storage space"); `bench_ablation_leaf_spatial` reproduces
+/// that trade-off on row stores. Either way the index only narrows what a
+/// leaf decode keeps: the decoded rows equal a row-by-row cell filter.
 class LeafSpatialIndex {
  public:
   LeafSpatialIndex() = default;
@@ -59,6 +62,13 @@ class LeafSpatialIndex {
   };
   std::map<std::string, CellRows> cells_;
 };
+
+/// Ascending row positions of `wanted_cells` within one table of the
+/// indexed snapshot (CDR when `cdr_table`, else NMS): the rows a cell
+/// restriction keeps, in their original order.
+std::vector<uint32_t> SelectedPositions(
+    const LeafSpatialIndex& index, bool cdr_table,
+    const std::unordered_set<std::string>& wanted_cells);
 
 }  // namespace spate
 

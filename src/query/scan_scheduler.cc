@@ -303,43 +303,6 @@ Result<QueryResult> ScanScheduler::Execute(const ExplorationQuery& query,
     return result;
   }
 
-  // Row-store sidecar configuration: `Execute` answers through the per-leaf
-  // spatial sidecars, a path the fold machinery cannot replicate — run it
-  // solo on the framework (the scan slot still serializes it against
-  // passes).
-  const SpateOptions& opts = framework_->options();
-  if (opts.leaf_spatial_index && query.has_box &&
-      opts.leaf_layout == LeafLayout::kRow) {
-    while (current_ != nullptr || solo_busy_) {
-      if (cancel != nullptr) {
-        const Status s = cancel->Check();
-        if (!s.ok()) {
-          ReleaseQueryLeaseLocked();
-          mu_.Unlock();
-          cv_.NotifyAll();
-          return s;
-        }
-      }
-      ParkLocked(cancel);
-    }
-    solo_busy_ = true;
-    ++stats_.solo_executes;
-    mu_.Unlock();
-    ScanContext scan{cancel, {}};
-    Result<QueryResult> result = framework_->Execute(query, &scan);
-    const uint64_t bytes = scan.stats.bytes_decoded;
-    mu_.Lock();
-    stats_.bytes_decoded += bytes;
-    stats_.fragment_hits += scan.stats.fragment_hits;
-    stats_.bytes_decoded_saved += scan.stats.bytes_decoded_saved;
-    solo_busy_ = false;
-    ReleaseQueryLeaseLocked();
-    mu_.Unlock();
-    cv_.NotifyAll();
-    if (info != nullptr) info->pass_bytes_decoded = bytes;
-    return result;
-  }
-
   // Shared path: attach to the in-flight pass when it subsumes us and has
   // not passed our first leaf; otherwise queue, and either get clustered
   // into the next pass by its leader or become that leader ourselves.
@@ -359,7 +322,7 @@ Result<QueryResult> ScanScheduler::Execute(const ExplorationQuery& query,
     if (w.pass != nullptr) {
       if (w.rows_done || w.pass->done) break;
     } else {
-      if (current_ == nullptr && !solo_busy_) {
+      if (current_ == nullptr) {
         // The scan slot is free and we are still pending: lead a pass sized
         // to the union of every clusterable pending waiter.
         std::shared_ptr<Pass> pass = BuildPassLocked(&w);
@@ -440,8 +403,7 @@ Result<QueryResult> ScanScheduler::Execute(const ExplorationQuery& query,
 Status ScanScheduler::RunExclusive(const std::function<Status()>& fn) {
   mu_.Lock();
   ++writers_waiting_;
-  // Leases cover every in-flight query (passes, solos and summary answers
-  // alike), so draining them quiesces the framework. `writers_waiting_`
+  // Leases cover every in-flight query (passes and summary answers alike), so draining them quiesces the framework. `writers_waiting_`
   // holds off new leases meanwhile — mutators cannot starve.
   while (exclusive_ || active_queries_ > 0) cv_.Wait(&mu_);
   --writers_waiting_;

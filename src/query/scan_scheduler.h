@@ -31,8 +31,6 @@ struct ScanSchedulerStats {
   uint64_t mid_pass_attaches = 0;
   /// Waiters that gave up on a pass (deadline/cancel) without aborting it.
   uint64_t waiters_detached = 0;
-  /// Queries that bypassed the shared path (row-store sidecar config).
-  uint64_t solo_executes = 0;
   /// Queries answered from covering summaries without any leaf pass
   /// (window not fully resolved: decayed data).
   uint64_t summary_answers = 0;
@@ -41,7 +39,7 @@ struct ScanSchedulerStats {
   /// Leaf snapshots folded into waiter results (one count per
   /// (leaf, waiter) fold).
   uint64_t leaves_folded = 0;
-  /// `ScanStats` roll-up across every shared pass and solo execute.
+  /// `ScanStats` roll-up across every shared pass.
   uint64_t bytes_decoded = 0;
   uint64_t fragment_hits = 0;
   uint64_t bytes_decoded_saved = 0;
@@ -51,7 +49,7 @@ struct ScanSchedulerStats {
 /// uses `pass_bytes_decoded` as the decoded-cost upper bound it prices
 /// `ResultCache` insertions with).
 struct SharedExecInfo {
-  /// Decoded bytes of the pass (or solo execute) that served this query —
+  /// Decoded bytes of the pass that served this query —
   /// the *whole* pass, shared across its waiters, so an upper bound on this
   /// query's own cost.
   uint64_t pass_bytes_decoded = 0;
@@ -76,11 +74,11 @@ struct SharedExecInfo {
 /// The underlying framework is externally synchronized; this class *is*
 /// that synchronization for multi-threaded callers. Internally it keeps a
 /// read/write state machine under one mutex:
-///   - `Execute` calls hold a read lease. At most one *pass or solo
-///     execute* touches the framework at a time (its surface allows only
-///     one scan), but attached waiters block on a condvar, not on the
-///     framework, and summary-only answers (decayed windows) run under the
-///     lease alone off const index state.
+///   - `Execute` calls hold a read lease. At most one *pass* touches the
+///     framework at a time (its surface allows only one scan), but
+///     attached waiters block on a condvar, not on the framework, and
+///     summary-only answers (decayed windows) run under the lease alone off
+///     const index state.
 ///   - `RunExclusive` (ingest/decay/recovery hooks) drains leases with
 ///     writer priority and runs its closure alone.
 ///
@@ -235,8 +233,6 @@ class ScanScheduler {
   int writers_waiting_ GUARDED_BY(mu_) = 0;
   /// The in-flight shared pass (null when the framework scan slot is free).
   std::shared_ptr<Pass> current_ GUARDED_BY(mu_);
-  /// A solo (sidecar-path) execute owns the framework scan slot.
-  bool solo_busy_ GUARDED_BY(mu_) = false;
   /// Arrived waiters not yet attached to a pass.
   std::vector<Waiter*> pending_ GUARDED_BY(mu_);
   ScanSchedulerStats stats_ GUARDED_BY(mu_);

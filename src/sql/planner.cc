@@ -202,7 +202,6 @@ Result<QueryPlan> PlanSelect(Framework& framework,
         framework.cells().CellsInBox(lowered.box);
     wanted.insert(in_box.begin(), in_box.end());
   }
-  const bool can_skip = stats.spatial_leaf_skip && lowered.has_box;
   const TableSchema& fact = eval.is_cdr() ? CdrSchema() : NmsSchema();
   const TableProjection fact_projection = ScanProjection(
       fact, lowered.attributes, fact.IndexOf("ts"), fact.IndexOf("cell_id"));
@@ -224,7 +223,7 @@ Result<QueryPlan> PlanSelect(Framework& framework,
       return cost > cached ? cost - cached : 0;
     };
     plan.cost_row += discounted(ds.FullDecodeBytes());
-    if (can_skip && leaf.summary != nullptr &&
+    if (lowered.has_box && leaf.summary != nullptr &&
         !SummaryIntersectsCells(*leaf.summary, wanted)) {
       ++plan.leaves_skipped;
       continue;

@@ -73,13 +73,13 @@ TEST(ColumnarLeafTest, FullDecodeIsBitExact) {
 
   Snapshot decoded;
   const TableProjection all;
-  uint64_t bytes = 0;
+  DecodeTally tally;
   ASSERT_TRUE(
-      DecodeColumnarLeaf(blob, all, all, nullptr, &decoded, &bytes).ok());
+      DecodeColumnarLeaf(blob, all, all, nullptr, &decoded, &tally).ok());
   EXPECT_EQ(decoded.epoch_start, original.epoch_start);
   EXPECT_EQ(decoded.cdr, original.cdr);
   EXPECT_EQ(decoded.nms, original.nms);
-  EXPECT_GT(bytes, 0u);
+  EXPECT_GT(tally.bytes_decoded, 0u);
   // Bit-exact down to the serialized text, so mixed stores and recovery
   // can treat a reassembled columnar leaf like any row leaf.
   EXPECT_EQ(SerializeSnapshot(decoded), SerializeSnapshot(original));
@@ -255,9 +255,7 @@ TEST(ColumnarProjectionTest, BoxDisjointLeavesAreSkippedBeforeDecode) {
     return framework;
   };
 
-  SpateOptions no_skip = LayoutOptions(LeafLayout::kColumnar, 1);
-  no_skip.spatial_leaf_skip = false;
-  auto reference = build(no_skip);
+  auto reference = build(LayoutOptions(LeafLayout::kColumnar, 1));
   auto columnar = build(LayoutOptions(LeafLayout::kColumnar, 1));
   auto row = build(LayoutOptions(LeafLayout::kRow, 1));
 
@@ -267,15 +265,31 @@ TEST(ColumnarProjectionTest, BoxDisjointLeavesAreSkippedBeforeDecode) {
   query.has_box = true;
   query.box = box;
 
-  auto expected = reference->Execute(query);
-  ASSERT_TRUE(expected.ok());
-  EXPECT_EQ(reference->last_scan_stats().leaves_skipped_spatial, 0u);
-  ASSERT_GT(expected->cdr_rows.size(), 0u);
+  // The no-skip reference: an unboxed scan streams every leaf and the
+  // query's own filter keeps the in-box rows; the summary is the window's,
+  // restricted to the box.
+  QueryResult expected;
+  expected.exact = true;
+  ExplorationQuery unboxed = query;
+  unboxed.has_box = false;
+  size_t streamed = 0;
+  auto keep_in_box = [&](const Snapshot& snapshot) {
+    ++streamed;
+    FilterSnapshotRows(snapshot, query, reference->cells(),
+                       &expected.cdr_rows, &expected.nms_rows);
+  };
+  ASSERT_TRUE(reference->ScanWindowProjected(unboxed, keep_in_box).ok());
+  EXPECT_EQ(streamed, kEpochs);
+  auto window =
+      reference->AggregateWindow(query.window_begin, query.window_end);
+  ASSERT_TRUE(window.ok());
+  expected.summary = RestrictSummaryToBox(*window, query, reference->cells());
+  ASSERT_GT(expected.cdr_rows.size(), 0u);
 
   for (SpateFramework* framework : {columnar.get(), row.get()}) {
     auto actual = framework->Execute(query);
     ASSERT_TRUE(actual.ok());
-    ExpectSameResult(*expected, *actual, std::string(framework->Name()));
+    ExpectSameResult(expected, *actual, std::string(framework->Name()));
     // Leaves 1..7 hold no in-box cell: their summaries prove it, so the
     // scan never reads them. Skipping is exact — the scan stays complete.
     EXPECT_EQ(framework->last_scan_stats().leaves_skipped_spatial,

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "core/spate_framework.h"
 #include "telco/generator.h"
 #include "telco/schema.h"
@@ -9,8 +7,9 @@
 namespace spate {
 namespace {
 
-/// The leaf-spatial-index query path must be an invisible optimization:
-/// identical row multisets to the plain filter path for every box.
+/// The leaf-spatial-index sidecars must be an invisible optimization:
+/// identical rows, in the same order, to the plain filter path for every
+/// box.
 TEST(LeafSpatialQueryTest, BoxQueriesMatchPlainPath) {
   TraceConfig config;
   config.days = 1;
@@ -52,13 +51,56 @@ TEST(LeafSpatialQueryTest, BoxQueriesMatchPlainPath) {
     auto b = indexed.Execute(query);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    auto sorted = [](std::vector<Record> rows) {
-      std::sort(rows.begin(), rows.end());
-      return rows;
-    };
-    EXPECT_EQ(sorted(a->cdr_rows), sorted(b->cdr_rows));
-    EXPECT_EQ(sorted(a->nms_rows), sorted(b->nms_rows));
+    EXPECT_EQ(a->cdr_rows, b->cdr_rows);
+    EXPECT_EQ(a->nms_rows, b->nms_rows);
+    EXPECT_EQ(a->exact, b->exact);
   }
+}
+
+/// A sidecar is part of its leaf's boxed read: with every replica of one
+/// sidecar lost, a box query skips that epoch as degraded, exactly as if the
+/// leaf itself were unreadable — while unboxed queries never read it.
+TEST(LeafSpatialQueryTest, LostSidecarSkipsItsEpochAsDegraded) {
+  TraceConfig config;
+  config.days = 1;
+  config.num_cells = 30;
+  config.num_antennas = 10;
+  config.cdr_base_rate = 10;
+  config.nms_per_cell = 0.3;
+  TraceGenerator gen(config);
+  SpateOptions options;
+  options.leaf_spatial_index = true;
+  SpateFramework spate(options, gen.cells());
+  for (Timestamp epoch : gen.EpochStarts()) {
+    ASSERT_TRUE(spate.Ingest(gen.GenerateSnapshot(epoch)).ok());
+  }
+  const std::vector<std::string> sidecars =
+      spate.dfs().ListFiles("/spate/spidx/");
+  ASSERT_EQ(sidecars.size(), static_cast<size_t>(kEpochsPerDay));
+  const Timestamp lost_epoch = config.start + 10 * kEpochSeconds;
+  const std::string victim = sidecars[10];
+  ASSERT_EQ(ParseCompact(victim.substr(victim.rfind('/') + 1)), lost_epoch);
+  for (size_t replica = 0; replica < 3; ++replica) {
+    ASSERT_TRUE(spate.dfs().CorruptReplica(victim, 0, replica, 99).ok());
+  }
+
+  ExplorationQuery query;
+  query.window_begin = config.start + 8 * kEpochSeconds;
+  query.window_end = config.start + 12 * kEpochSeconds;
+  query.has_box = true;
+  query.box = spate.cells().extent();
+  auto boxed = spate.Execute(query);
+  ASSERT_TRUE(boxed.ok()) << boxed.status().ToString();
+  EXPECT_FALSE(boxed->exact);
+  EXPECT_TRUE(boxed->degraded);
+  EXPECT_EQ(boxed->skipped_epochs, std::vector<Timestamp>{lost_epoch});
+  EXPECT_EQ(spate.last_scan_stats().leaves_scanned, 3u);
+
+  query.has_box = false;
+  auto unboxed = spate.Execute(query);
+  ASSERT_TRUE(unboxed.ok());
+  EXPECT_TRUE(unboxed->exact);
+  EXPECT_EQ(spate.last_scan_stats().leaves_scanned, 4u);
 }
 
 TEST(LeafSpatialQueryTest, SidecarsDecayWithLeaves) {

@@ -253,6 +253,7 @@ TEST(ParallelPipelineTest, LeafSpatialExactPathMatchesSerial) {
   serial_options.leaf_spatial_index = true;
   SpateOptions parallel_options = PipelineOptions(4);
   parallel_options.leaf_spatial_index = true;
+  auto plain = IngestTrace(gen, PipelineOptions(1));
   auto serial = IngestTrace(gen, serial_options);
   auto parallel = IngestTrace(gen, parallel_options);
 
@@ -262,12 +263,18 @@ TEST(ParallelPipelineTest, LeafSpatialExactPathMatchesSerial) {
   query.has_box = true;
   query.box = BoundingBox{0, 0, config.region_meters / 2,
                           config.region_meters / 2};
+  auto plain_result = plain->Execute(query);
   auto serial_result = serial->Execute(query);
   auto parallel_result = parallel->Execute(query);
+  ASSERT_TRUE(plain_result.ok());
   ASSERT_TRUE(serial_result.ok());
   ASSERT_TRUE(parallel_result.ok());
   EXPECT_EQ(serial_result->cdr_rows, parallel_result->cdr_rows);
   EXPECT_EQ(serial_result->nms_rows, parallel_result->nms_rows);
+  // The sidecars are invisible in the answer: bit for bit the plain
+  // framework's rows, in its order, at every worker count.
+  EXPECT_EQ(plain_result->cdr_rows, serial_result->cdr_rows);
+  EXPECT_EQ(plain_result->nms_rows, serial_result->nms_rows);
 }
 
 // Stress for the sanitizers (TSan in CI): scans fan out over the pool
